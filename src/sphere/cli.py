@@ -19,18 +19,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 from . import data as datamod
 from . import network as net
-from .linalg import frob_norm_sq, svd
+from .linalg import NumericsError, svd
 from .losses import sphere_grad_linear, sphere_loss
 from .oracle import principal_projection
 from .plasticity import Rule, RuleState, oja_step
-from .trainer import (ABLATION_GRID, TrainConfig, evaluate_config, features,
-                      knn_eval, param_checksum, run_ablation, run_linearity_study,
+from .trainer import (ABLATION_GRID, TrainConfig, blocks_checksum, evaluate_config,
+                      features, knn_eval, run_ablation, run_linearity_study,
                       run_transfer, train_greedy, train_linear_block, train_probe)
 
 SUMMARY_SCHEMA = 1
@@ -163,27 +164,37 @@ def _git_describe():
     return "unknown"
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over
+    `path`, so a failed write never leaves a partial artifact."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_manifest(outdir: str, cfg: dict, seed: int, command: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     lines = [f"command = {command}", f"seed = {seed}", f"version = {_git_describe()}"]
     lines += [f"{k} = {cfg[k]}" for k in sorted(cfg)]
-    with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def write_summary(outdir: str, payload: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
     body = {"schema": SUMMARY_SCHEMA}
     body.update(payload)
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(body, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(os.path.join(outdir, "summary.json"),
+                  json.dumps(body, indent=1, sort_keys=True) + "\n")
 
 
 def write_metrics(outdir: str, records) -> None:
-    with open(os.path.join(outdir, "metrics.jsonl"), "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_atomic(os.path.join(outdir, "metrics.jsonl"),
+                  "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +319,7 @@ def cmd_train(args, cfg):
     xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
     t0 = time.time()
     blocks, records = train_greedy(config, xtr)
-    checksum = param_checksum({f"b{i}.{k}": v for i, (f, phi) in enumerate(blocks)
-                               for k, v in net.block_params(f, phi).items()})
+    checksum = blocks_checksum(blocks)
     write_metrics(args.out, records)
     payload = {"command": "train", "param_checksum": checksum,
                "final_total": records[-1]["total"], "n_train": len(ytr)}
@@ -407,7 +417,8 @@ def build_parser():
     p.add_argument("--set", action="append", metavar="KEY=VAL", dest="overrides",
                    help="override a config value (repeatable)")
     p.add_argument("--out", default="runs/last", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="run seed (default: train.seed, else 0)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify-lemma", help="single linear block vs closed-form optimum")
@@ -451,9 +462,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
+        if args.seed is None:
+            args.seed = cfg.get("train.seed", 0)
         write_manifest(args.out, cfg, args.seed, args.command)
         return args.fn(args, cfg)
-    except (ConfigError, datamod.FormatError) as exc:
+    except (ConfigError, datamod.FormatError, NumericsError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

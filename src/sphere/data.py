@@ -1,14 +1,12 @@
-"""Dataset ingestion and synthesis: CIFAR-10 binary files, IDX ubyte
-files, spectrum-controlled Gaussian matrices for oracle experiments, and a
-class-structured synthetic image generator for desk-scale runs.
+"""Dataset ingestion and synthesis: CIFAR-10 binary files,
+spectrum-controlled Gaussian matrices for oracle experiments, and
+class-structured synthetic image generators for desk-scale runs.
 
 Loaded datasets keep raw uint8 pixels so ingestion can be round-tripped
 bit-exactly; normalization produces a separate float view.
 """
 
-import json
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +33,6 @@ class Dataset:
 
     def __len__(self):
         return self.images.shape[0]
-
-    @property
-    def num_classes(self):
-        return int(self.labels.max()) + 1 if len(self) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +96,6 @@ def serialize_cifar10(ds: Dataset) -> bytes:
     return rec.tobytes()
 
 
-def write_cifar10(ds: Dataset, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_cifar10(ds))
-
-
-# ---------------------------------------------------------------------------
-# IDX ubyte format (small-image alternates)
-
-
-def load_idx_images(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, n, h, w = struct.unpack(">IIII", fh.read(16))
-        if magic != 0x00000803:
-            raise FormatError(f"{path}: bad IDX image magic {magic:#010x}")
-        buf = fh.read()
-    if len(buf) != n * h * w:
-        raise FormatError(f"{path}: truncated IDX image payload")
-    return np.frombuffer(buf, dtype=np.uint8).reshape(n, 1, h, w).copy()
-
-
-def load_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, n = struct.unpack(">II", fh.read(8))
-        if magic != 0x00000801:
-            raise FormatError(f"{path}: bad IDX label magic {magic:#010x}")
-        buf = fh.read()
-    if len(buf) != n:
-        raise FormatError(f"{path}: truncated IDX label payload")
-    return np.frombuffer(buf, dtype=np.uint8).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -141,17 +104,6 @@ def channel_stats(ds: Dataset):
     """Per-channel mean/std of pixels scaled to [0,1] (train-split stats)."""
     x = ds.images.astype(np.float64) / 255.0
     return x.mean(axis=(0, 2, 3)), x.std(axis=(0, 2, 3))
-
-
-def save_stats(path: str, mean, std) -> None:
-    with open(path, "w") as fh:
-        json.dump({"mean": list(map(float, mean)), "std": list(map(float, std))}, fh)
-
-
-def load_stats(path: str):
-    with open(path) as fh:
-        d = json.load(fh)
-    return np.asarray(d["mean"]), np.asarray(d["std"])
 
 
 def to_float(ds: Dataset, mean, std, dtype=np.float64) -> np.ndarray:
@@ -231,8 +183,7 @@ def harmonic_spectrum(n: int) -> np.ndarray:
 
 def make_synthetic_images(n_per_class: int, seed: int, classes: int = 10,
                           size: int = 32, noise: float = 0.35,
-                          split: str = "train", template_seed: int = 0,
-                          max_shift: int = 0) -> Dataset:
+                          split: str = "train", template_seed: int = 0) -> Dataset:
     """Class-structured synthetic image set in CIFAR-10 shape.
 
     Each class is a smooth color template drawn from `template_seed` (keep
@@ -261,11 +212,7 @@ def make_synthetic_images(n_per_class: int, seed: int, classes: int = 10,
         for _ in range(n_per_class):
             gain = rng.uniform(0.6, 1.0)
             shift = rng.uniform(-0.1, 0.1)
-            base = templates[c]
-            if max_shift:
-                dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
-                base = np.roll(base, (int(dy), int(dx)), axis=(1, 2))
-            img = gain * base + shift + noise * rng.standard_normal((3, size, size))
+            img = gain * templates[c] + shift + noise * rng.standard_normal((3, size, size))
             images[i] = np.clip(img * 255.0, 0, 255).astype(np.uint8)
             labels[i] = c
             i += 1
@@ -323,17 +270,3 @@ def make_texture_images(n_per_class: int, seed: int, classes: int = 10,
             i += 1
     order = rng.permutation(len(labels))
     return Dataset(images=images[order], labels=labels[order], name="texture", split=split)
-
-
-def resize_to_32(images: np.ndarray) -> np.ndarray:
-    """Center-crop/downsample 64x64-style sources to 32x32 (2x2 mean) so
-    transfer runs can pair with CIFAR-shaped models."""
-    b, c, h, w = images.shape
-    if (h, w) == (32, 32):
-        return images
-    if h >= 64 and w >= 64:
-        top, left = (h - 64) // 2, (w - 64) // 2
-        crop = images[:, :, top : top + 64, left : left + 64].astype(np.float64)
-        small = crop.reshape(b, c, 32, 2, 32, 2).mean(axis=(3, 5))
-        return np.clip(small, 0, 255).astype(images.dtype)
-    raise NumericsError(f"unsupported source size {h}x{w}")

@@ -1,14 +1,15 @@
-"""Loss functions for structural-projection Hebbian training and their
-analytic weight gradients in the linear case Y = X @ W.
+"""The structural-projection objective and its analytic weight gradients
+in the linear case Y = X @ W.
 
-Two evaluation paths exist on purpose:
+``structural_grads`` is the objective's one definition: it returns the
+loss bundle and dL/dZ that training and the linear analyses use, while
+``sphere_loss`` / ``orth_loss`` / ``oja_equiv_loss`` evaluate single terms
+as references.  Two evaluation paths exist on purpose:
 
-* the training path (``normalize=True``, the default for ``sphere_loss`` /
-  ``orth_loss`` / ``total_loss``) row-normalizes its inputs first, which
-  bounds loss magnitudes across datasets;
-* the linear-analysis path (``sphere_grad_linear``, ``orth_grad_linear``
-  and ``normalize=False``) uses the raw matrices so it matches the
-  closed-form SVD oracle exactly.
+* the training path (``normalize=True``, the default) row-normalizes its
+  inputs first, which bounds loss magnitudes across datasets;
+* the linear-analysis path (``normalize=False``) uses the raw matrices so
+  it matches the closed-form SVD oracle exactly.
 """
 
 from dataclasses import dataclass
@@ -30,23 +31,6 @@ class LossBundle:
     orth: float
     total: float
     lam: float
-
-
-def hebb_loss(y) -> float:
-    """Classical Hebbian equivalent loss, -1/2 ||Y||_F^2."""
-    return -0.5 * frob_norm_sq(y)
-
-
-def anti_hebb_loss(y) -> float:
-    """Anti-Hebbian equivalent loss, +1/2 ||Y||_F^2."""
-    return 0.5 * frob_norm_sq(y)
-
-
-def hebb_grad_linear(x, w) -> np.ndarray:
-    """Gradient of hebb_loss(X @ W) with respect to W: -X.T @ Y."""
-    x = as_matrix(x)
-    w = as_matrix(w)
-    return -x.T @ (x @ w)
 
 
 def oja_equiv_loss(y, x, cond_cap: float = 1e10) -> float:
@@ -86,15 +70,61 @@ def sphere_loss(z, x, normalize: bool = True, eps: float = DEFAULT_EPS) -> float
     return frob_norm_sq(gram(z) - gram(x))
 
 
+def input_gram(x, normalize: bool = True, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Batch Gram K_X = X X^T of a flattened block input, row-normalized
+    first on the training path: the `kx` argument of structural_grads."""
+    if normalize:
+        x = row_normalize(x, eps)
+    return x @ x.T
+
+
+def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
+                     eps: float = DEFAULT_EPS, use_sphere: bool = True,
+                     use_oja: bool = False):
+    """Loss bundle and dL/dZ of L = match(Z, K_X) + lam ||Z^T Z - I||_F^2.
+
+    The matching term is ||K_Z - K_X||_F^2 (use_sphere), the ridge-Oja
+    trace 1/4 Tr(D (K_X + rI)^{-1} D) with D = K_Z - K_X (use_oja), or
+    their sum; the bundle's sphere slot reports it.  `kx` must come from
+    input_gram with the same `normalize`.  With normalize=True, Z is
+    row-normalized first and dL/dZ includes that map's Jacobian.
+    """
+    if normalize:
+        zn = np.linalg.norm(z, axis=1, keepdims=True)
+        z_hat = z / np.maximum(zn, eps)
+    else:
+        z_hat = z
+    kd = z_hat @ z_hat.T - kx
+    m = z.shape[1]
+    zz = z_hat.T @ z_hat - np.eye(m, dtype=z.dtype)
+    orth = float(np.sum(zz * zz))
+    match = float(np.sum(kd * kd)) if use_sphere else 0.0
+    g_hat = 4.0 * kd @ z_hat if use_sphere else 0.0
+    if use_oja:
+        # ridge keeps the inverse usable on near-singular batch Grams
+        a = np.linalg.inv(kx + 1e-6 * np.trace(kx) / kx.shape[0] * np.eye(kx.shape[0], dtype=kx.dtype))
+        ad = a @ kd
+        match += 0.25 * float(np.trace(ad @ kd))
+        g_hat = g_hat + 0.5 * (ad + ad.T) @ z_hat
+    if lam != 0.0:
+        g_hat = g_hat + lam * 4.0 * (z_hat @ zz)
+    dz = g_hat
+    if normalize:
+        big = zn[:, 0] >= eps
+        dot = np.sum(g_hat * z_hat, axis=1, keepdims=True)
+        dz = np.where(big[:, None], (g_hat - dot * z_hat) / np.maximum(zn, eps), g_hat / eps)
+    return LossBundle(sphere=match, orth=orth, total=match + lam * orth, lam=lam), dz
+
+
 def sphere_grad_linear(x, w) -> np.ndarray:
     """Analytic gradient of ||Y Y^T - X X^T||_F^2 wrt W for Y = X @ W:
-    4 X^T (Y Y^T - X X^T) Y.  Uses raw (unnormalized) X."""
+    X^T dL/dY = 4 X^T (Y Y^T - X X^T) Y.  Uses raw (unnormalized) X."""
     x = as_matrix(x)
     w = as_matrix(w)
     if x.shape[1] != w.shape[0]:
         raise NumericsError("shape mismatch: X cols != W rows")
-    y = x @ w
-    return 4.0 * x.T @ ((y @ y.T - x @ x.T) @ y)
+    _, dy = structural_grads(x @ w, input_gram(x, normalize=False), normalize=False)
+    return x.T @ dy
 
 
 def orth_loss(z, normalize: bool = True, eps: float = DEFAULT_EPS) -> float:
@@ -110,9 +140,8 @@ def orth_grad_linear(x, w) -> np.ndarray:
     """Weight gradient of the orthogonality penalty for Y = X @ W:
     X^T Y (Y^T Y - I).
 
-    This is the expression used throughout training.  It equals exactly
-    1/4 of the derivative of ||Y^T Y - I||_F^2 (the direction is
-    identical; only the constant differs).
+    It equals exactly 1/4 of the derivative of ||Y^T Y - I||_F^2 (the
+    direction is identical; only the constant differs).
     """
     x = as_matrix(x)
     w = as_matrix(w)
@@ -121,12 +150,3 @@ def orth_grad_linear(x, w) -> np.ndarray:
     y = x @ w
     m = w.shape[1]
     return x.T @ (y @ (y.T @ y - np.eye(m, dtype=y.dtype)))
-
-
-def total_loss(z, x, lam: float, normalize: bool = True, eps: float = DEFAULT_EPS) -> LossBundle:
-    """Combined objective sphere + lam * orth as a LossBundle."""
-    if lam < 0:
-        raise NumericsError("lambda must be nonnegative")
-    s = sphere_loss(z, x, normalize=normalize, eps=eps)
-    o = orth_loss(z, normalize=normalize, eps=eps)
-    return LossBundle(sphere=s, orth=o, total=s + lam * o, lam=lam)

@@ -9,12 +9,12 @@ gradient at all.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, NumericsError, row_normalize
-from .losses import LossBundle
+from .linalg import DEFAULT_EPS, NumericsError
+from .losses import input_gram, structural_grads
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
 LEAKY_SLOPE = 0.01
@@ -156,10 +156,6 @@ def flatten(x):
     return x.reshape(x.shape[0], -1)
 
 
-def unflatten(m, shape):
-    return m.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -173,10 +169,6 @@ class MainBlock:
     bias: np.ndarray
     activation: str = "leaky_relu"
     use_skip: bool = False
-
-    @property
-    def out_channels(self):
-        return self.kernel.shape[0]
 
     def params(self):
         return {"kernel": self.kernel, "bias": self.bias}
@@ -282,42 +274,6 @@ def block_forward(f: MainBlock, phi, x):
     return yp, z
 
 
-def _structural_grads(z, x_flat, lam, eps, use_sphere=True, use_oja=False):
-    """Loss bundle and dL/dZ for the normalized structural objective.
-
-    With use_oja the inverse-weighted trace form of the matching loss is
-    used in place of (or alongside) the plain Frobenius form; its sphere
-    slot in the bundle then reports the combined matching term.
-    """
-    zn = np.linalg.norm(z, axis=1, keepdims=True)
-    z_hat = z / np.maximum(zn, eps)
-    x_hat = row_normalize(x_flat, eps)
-    kx = x_hat @ x_hat.T
-    kd = z_hat @ z_hat.T - kx
-    m = z.shape[1]
-    zz = z_hat.T @ z_hat - np.eye(m, dtype=z.dtype)
-    orth = float(np.sum(zz * zz))
-    match = 0.0
-    g_hat = np.zeros_like(z_hat)
-    if use_sphere:
-        match += float(np.sum(kd * kd))
-        g_hat = g_hat + 4.0 * kd @ z_hat
-    if use_oja:
-        # ridge keeps the inverse usable on near-singular batch Grams
-        a = np.linalg.inv(kx + 1e-6 * np.trace(kx) / kx.shape[0] * np.eye(kx.shape[0], dtype=kx.dtype))
-        ad = a @ kd
-        match += 0.25 * float(np.trace(ad @ kd))
-        g_hat = g_hat + 0.5 * (ad + ad.T) @ z_hat
-    sphere = match
-    if lam != 0.0:
-        g_hat = g_hat + lam * 4.0 * (z_hat @ zz)
-    # through row normalization
-    big = zn[:, 0] >= eps
-    dot = np.sum(g_hat * z_hat, axis=1, keepdims=True)
-    dz = np.where(big[:, None], (g_hat - dot * z_hat) / np.maximum(zn, eps), g_hat / eps)
-    return LossBundle(sphere=sphere, orth=orth, total=sphere + lam * orth, lam=lam), dz
-
-
 def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
                    orth_width_cap: int = 4096, use_sphere: bool = True,
                    use_oja: bool = False):
@@ -341,12 +297,12 @@ def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
     else:
         z, aux_cache = _aux_forward(phi, yp)
 
-    bundle, dz = _structural_grads(z, flatten(x), lam, eps,
-                                   use_sphere=use_sphere, use_oja=use_oja)
+    bundle, dz = structural_grads(z, input_gram(flatten(x), eps=eps), lam, eps=eps,
+                                  use_sphere=use_sphere, use_oja=use_oja)
     grads = {}
 
     if phi is None:
-        d_yp = unflatten(dz, yp.shape)
+        d_yp = dz.reshape(yp.shape)
     else:
         conv_caches, gap_shape, g = aux_cache
         grads["aux.fc_w"] = g.T @ dz

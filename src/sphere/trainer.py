@@ -6,14 +6,14 @@ linear-vs-nonlinear study, ablation grid, transfer)."""
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data as datamod
 from . import network as net
 from .linalg import NumericsError
-from .losses import sphere_loss, sphere_grad_linear, orth_grad_linear
+from .losses import input_gram, orth_grad_linear, structural_grads
 from .oracle import cka, principal_projection, svd_alignment
 
 
@@ -23,6 +23,10 @@ class OptimizerError(RuntimeError):
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
+
+
+class FrozenBlocksMutatedError(RuntimeError):
+    """Probe training changed the parameters of the frozen blocks."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,15 @@ class TrainConfig:
             raise NumericsError("at least one matching loss must be enabled")
         if self.batch_size < 2:
             raise NumericsError("batch_size must be >= 2")
+        if self.dtype not in ("float32", "float64"):
+            raise NumericsError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if self.activation not in net.ACTIVATIONS:
+            raise NumericsError(f"activation must be one of {net.ACTIVATIONS}, "
+                                f"got {self.activation!r}")
+        if not self.channels:
+            raise NumericsError("channels must list at least one block width")
+        if self.lam < 0:
+            raise NumericsError("lambda must be nonnegative")
 
     @property
     def np_dtype(self):
@@ -125,6 +138,12 @@ def param_checksum(params: dict) -> str:
         h.update(k.encode())
         h.update(np.ascontiguousarray(params[k], dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def blocks_checksum(blocks) -> str:
+    """param_checksum over every block's parameters, keyed "b<i>.<name>"."""
+    return param_checksum({f"b{i}.{k}": v for i, (f, phi) in enumerate(blocks)
+                           for k, v in net.block_params(f, phi).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +167,16 @@ def build_blocks(config: TrainConfig, in_channels: int, rng):
     return blocks
 
 
-def _forward_through(blocks, x, upto: int, chunk: int = 256):
-    # chunked so im2col buffers stay bounded on large inputs
-    if len(x) > chunk:
-        return np.concatenate([_forward_through(blocks, x[i : i + chunk], upto)
-                               for i in range(0, len(x), chunk)])
-    for f, phi in blocks[:upto]:
-        x, _ = net._main_forward(f, x)
-    return x
+def _forward(blocks, x, chunk: int = 256):
+    """Main-path output of `blocks` applied in turn to x, one chunk of
+    images at a time so im2col buffers stay bounded on large inputs."""
+    outs = []
+    for i in range(0, len(x), chunk):
+        h = x[i : i + chunk]
+        for f, _ in blocks:
+            h, _ = net._main_forward(f, h)
+        outs.append(h)
+    return np.concatenate(outs)
 
 
 def train_greedy(config: TrainConfig, images: np.ndarray):
@@ -164,13 +185,15 @@ def train_greedy(config: TrainConfig, images: np.ndarray):
     `images` is a normalized float array (n, C, H, W).  Returns (blocks,
     records) where records holds one metrics dict per (block, epoch).
     """
-    images = np.asarray(images, dtype=config.np_dtype)
+    feats = np.asarray(images, dtype=config.np_dtype)
     rng = np.random.default_rng(config.seed)
-    blocks = build_blocks(config, images.shape[1], rng)
+    blocks = build_blocks(config, feats.shape[1], rng)
     records = []
     lam = config.lam if config.use_orth else 0.0
     for bi, (f, phi) in enumerate(blocks):
-        feats = _forward_through(blocks, images, bi)
+        if bi:
+            # stage bi's input is the frozen output of block bi-1 on stage bi-1's input
+            feats = _forward(blocks[bi - 1 : bi], feats)
         params = net.block_params(f, phi)
         opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
         epochs = config.epochs_per_block
@@ -208,10 +231,7 @@ def train_greedy(config: TrainConfig, images: np.ndarray):
 
 def features(blocks, images, batch_size: int = 256) -> np.ndarray:
     """Flattened post-pool output of the final block."""
-    outs = []
-    for i in range(0, len(images), batch_size):
-        outs.append(net.flatten(_forward_through(blocks, images[i : i + batch_size], len(blocks))))
-    return np.concatenate(outs)
+    return net.flatten(_forward(blocks, images, batch_size))
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +307,23 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, lr: float = 1e
     """Train a single dense linear map W against the raw structural loss
     (plus optional orthogonality term) with AdamW; full-batch.
 
-    Returns (w, history) with one raw sphere-loss value per step.
+    Returns (w, history): history[i] is the raw sphere loss at the weights
+    that step i's gradient was taken at.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
     rng = np.random.default_rng(seed)
     params = {"w": rng.standard_normal((n, m)) * (1.0 / math.sqrt(n))}
     opt = AdamW(params, lr=lr, weight_decay=0.0)
+    kx = input_gram(x, normalize=False)
     history = []
     for step in range(steps):
-        g = sphere_grad_linear(x, params["w"])
+        bundle, dz = structural_grads(x @ params["w"], kx, normalize=False)
+        g = x.T @ dz
         if lam:
             g = g + lam * orth_grad_linear(x, params["w"])
         opt.step({"w": g}, lr=cosine_lr(step, steps, lr))
-        history.append(sphere_loss(x @ params["w"], x, normalize=False))
+        history.append(bundle.sphere)
     return params["w"], history
 
 
@@ -362,7 +385,7 @@ def run_linearity_study(b: int = 256, n: int = 64, m: int = 40, epochs: int = 30
     nl_params = {f"{i}.{k}": v for i, lay in enumerate(nl_layers) for k, v in lay.items()}
     nl_opt = AdamW(nl_params, lr=lr)
 
-    kx = x @ x.T
+    kx = input_gram(x, normalize=False)
     cka_curve = []
     steps_per_epoch = 40
     for epoch in range(epochs + 1):
@@ -373,10 +396,11 @@ def run_linearity_study(b: int = 256, n: int = 64, m: int = 40, epochs: int = 30
             break
         for it in range(steps_per_epoch):
             step = epoch * steps_per_epoch + it
-            lin_opt.step({"w": sphere_grad_linear(x, lin["w"])},
+            _, dz_lin = structural_grads(x @ lin["w"], kx, normalize=False)
+            lin_opt.step({"w": x.T @ dz_lin},
                          lr=cosine_lr(step, epochs * steps_per_epoch, 2e-2))
             z, caches = _mlp_forward(nl_layers, act, x)
-            dz = 4.0 * (z @ z.T - kx) @ z
+            _, dz = structural_grads(z, kx, normalize=False)
             gs = _mlp_backward(nl_layers, caches, dz)
             nl_opt.step({f"{i}.{k}": v for i, g in enumerate(gs) for k, v in g.items()},
                         lr=cosine_lr(step, epochs * steps_per_epoch, lr))
@@ -407,18 +431,17 @@ def combo_name(flags: dict) -> str:
 
 def evaluate_config(config: TrainConfig, train_images, train_labels, test_images, test_labels,
                     probe_epochs: int = 20):
-    """Train blocks unsupervised, then probe on frozen features."""
-    blocks, records = train_greedy(config, train_images)
-    before = param_checksum({f"b{i}.{k}": v for i, (f, phi) in enumerate(blocks)
-                             for k, v in net.block_params(f, phi).items()})
+    """Train blocks unsupervised, then probe on frozen features; returns
+    {"train_acc", "test_acc"}."""
+    blocks, _ = train_greedy(config, train_images)
+    before = blocks_checksum(blocks)
     ftr = features(blocks, np.asarray(train_images, dtype=config.np_dtype))
     fte = features(blocks, np.asarray(test_images, dtype=config.np_dtype))
     tr_acc, te_acc = train_probe(ftr, train_labels, fte, test_labels,
                                  epochs=probe_epochs, seed=config.seed)
-    after = param_checksum({f"b{i}.{k}": v for i, (f, phi) in enumerate(blocks)
-                            for k, v in net.block_params(f, phi).items()})
-    assert before == after, "probe training mutated block parameters"
-    return {"train_acc": tr_acc, "test_acc": te_acc, "blocks": blocks, "records": records}
+    if blocks_checksum(blocks) != before:
+        raise FrozenBlocksMutatedError("probe training mutated block parameters")
+    return {"train_acc": tr_acc, "test_acc": te_acc}
 
 
 def run_ablation(base: TrainConfig, train_images, train_labels, test_images, test_labels,

@@ -8,7 +8,20 @@ import numpy as np
 import pytest
 
 from sphere.cli import (ConfigError, DEFAULT_CONFIG, load_config, main,
-                        parse_config_text, train_config_from)
+                        parse_config_text, train_config_from, write_summary)
+
+# float64 blocks small enough that every training command runs in about a second
+TINY = ["--set", "train.dtype=float64", "--set", "train.channels=4,8",
+        "--set", "train.epochs=2", "--set", "train.batch_size=8", "--set", "train.d_proj=8",
+        "--set", "data.n_per_class=2", "--set", "data.n_test_per_class=1",
+        "--set", "probe.epochs=2"]
+
+
+def run_train(tmp_path, name, *flags):
+    """`sphere train` at TINY scale; returns (manifest text, summary dict)."""
+    out = tmp_path / name
+    assert main(["--out", str(out), *TINY, *flags, "train"]) == 0
+    return (out / "manifest.txt").read_text(), json.loads((out / "summary.json").read_text())
 
 
 class TestConfigParser:
@@ -103,6 +116,61 @@ class TestArtifacts:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert "bogus" in record["message"]
+
+
+    def test_bad_train_value_exit_code(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path / "r"), *TINY, "--set", "train.dtype=float16",
+                     "train"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NumericsError"
+        assert "float16" in record["message"]
+
+    def test_unencodable_summary_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_summary(str(tmp_path), {"blocks": object()})
+        assert os.listdir(tmp_path) == []
+
+
+class TestSeed:
+    def test_train_seed_used_without_flag(self, tmp_path):
+        manifest, summary = run_train(tmp_path, "cfg", "--set", "train.seed=3")
+        _, flagged = run_train(tmp_path, "flag", "--seed", "3")
+        _, default = run_train(tmp_path, "default")
+        assert "seed = 3\n" in manifest
+        assert summary["param_checksum"] == flagged["param_checksum"]
+        assert summary["param_checksum"] != default["param_checksum"]
+
+    def test_flag_wins_over_train_seed(self, tmp_path):
+        manifest, summary = run_train(tmp_path, "both", "--seed", "5", "--set", "train.seed=3")
+        _, flagged = run_train(tmp_path, "flag", "--seed", "5")
+        assert "seed = 5\n" in manifest
+        assert summary["param_checksum"] == flagged["param_checksum"]
+
+
+SMOKE = {
+    "probe": ([], {"train_acc", "test_acc"}),
+    "knn": (["--k", "1"], {"k", "test_acc"}),
+    "ablate": ([], {"rows"}),
+    "transfer": ([], {"transfer_acc", "direct_acc", "gap"}),
+    "linearity": (["--epochs", "1"], {"cka_curve", "diag20_mean", "offdiag_mean"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE))
+def test_command_smoke(tmp_path, command):
+    """Exit 0, the command's summary keys, byte-identical float64 reruns."""
+    flags, keys = SMOKE[command]
+    summaries = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["--out", str(out), "--seed", "1", *TINY, command, *flags]) == 0
+        summaries.append((out / "summary.json").read_bytes())
+    summary = json.loads(summaries[0])
+    assert summary["schema"] == 1
+    assert summary["command"] == command
+    assert set(summary) == {"schema", "command"} | keys
+    assert summaries[0] == summaries[1]
 
 
 class TestGradcheckCommand:

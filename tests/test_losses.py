@@ -2,17 +2,18 @@
 
 Gradients are verified against central finite differences computed here in
 the test (independent of the library's own machinery), and the
-orthogonality gradient's deliberate 1/4 constant is pinned exactly.
+orthogonality gradient's deliberate 1/4 constant is pinned exactly.  The
+training objective (structural_grads) is pinned to the reference
+evaluators sphere_loss, orth_loss and oja_equiv_loss.
 """
 
 import numpy as np
 import pytest
 
-from sphere.linalg import NumericsError
-from sphere.losses import (LossBundle, SingularGramError, anti_hebb_loss,
-                           hebb_grad_linear, hebb_loss, oja_equiv_loss,
+from sphere.linalg import NumericsError, row_normalize
+from sphere.losses import (LossBundle, SingularGramError, input_gram, oja_equiv_loss,
                            orth_grad_linear, orth_loss, sphere_grad_linear,
-                           sphere_loss, total_loss)
+                           sphere_loss, structural_grads)
 from sphere.oracle import principal_projection
 
 
@@ -30,27 +31,6 @@ def fd_grad(fun, w, h=1e-6):
         w[i] = orig
         g[i] = (fp - fm) / (2 * h)
     return g
-
-
-class TestHebb:
-    def test_hebb_value(self):
-        y = np.array([[1.0, 2.0], [0.0, 2.0]])
-        assert hebb_loss(y) == pytest.approx(-4.5)
-        assert anti_hebb_loss(y) == pytest.approx(4.5)
-
-    def test_hebb_grad_matches_fd(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((7, 4))
-        w = rng.standard_normal((4, 3))
-        g = hebb_grad_linear(x, w)
-        fd = fd_grad(lambda: hebb_loss(x @ w), w)
-        assert np.allclose(g, fd, atol=1e-6)
-
-    def test_hebb_grad_is_negative_correlation(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 3))
-        w = rng.standard_normal((3, 2))
-        assert np.allclose(hebb_grad_linear(x, w), -x.T @ (x @ w))
 
 
 class TestOjaEquivLoss:
@@ -172,11 +152,13 @@ class TestOrth:
 
 
 class TestTotalLoss:
+    """The bundle structural_grads returns: total = sphere + lam * orth."""
+
     def test_lambda_arithmetic(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((6, 5))
         z = rng.standard_normal((6, 4))
-        bundle = total_loss(z, x, lam=0.8)
+        bundle, _ = structural_grads(z, input_gram(x), lam=0.8)
         assert isinstance(bundle, LossBundle)
         assert bundle.total == pytest.approx(bundle.sphere + 0.8 * bundle.orth)
         assert bundle.lam == 0.8
@@ -185,8 +167,34 @@ class TestTotalLoss:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((5, 4))
         z = rng.standard_normal((5, 3))
-        assert total_loss(z, x, lam=0.0).total == pytest.approx(sphere_loss(z, x))
+        bundle, _ = structural_grads(z, input_gram(x), lam=0.0)
+        assert bundle.total == pytest.approx(sphere_loss(z, x))
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(NumericsError):
-            total_loss(np.ones((3, 2)), np.ones((3, 2)), lam=-0.1)
+
+class TestStructuralGrads:
+    def test_bundle_matches_reference_losses(self):
+        # training path: both terms equal the row-normalized reference
+        # evaluators up to rounding (those symmetrize their Grams)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((9, 20))
+        z = rng.standard_normal((9, 5)) * rng.uniform(0.5, 2.0, size=(9, 1))
+        bundle, _ = structural_grads(z, input_gram(x), lam=0.8)
+        assert bundle.sphere == pytest.approx(sphere_loss(z, x, normalize=True), rel=1e-12)
+        assert bundle.orth == pytest.approx(orth_loss(z, normalize=True), rel=1e-12)
+
+    def test_oja_term_matches_oja_equiv_loss(self):
+        # The ridge r = 1e-6 tr(K)/B adds r to every eigenvalue of K, so each
+        # eigen-direction's share of Tr(D K^{-1} D) shrinks by a factor
+        # 1/(1 + r/lam_i): the trained value is below the exact one by a
+        # relative amount in [0, r/lam_min].  B << N keeps K well conditioned.
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((8, 64))
+        z = rng.standard_normal((8, 6))
+        kx = input_gram(x)
+        bundle, _ = structural_grads(z, kx, use_sphere=False, use_oja=True)
+        ref = oja_equiv_loss(row_normalize(z), row_normalize(x))
+        eigs = np.linalg.eigvalsh(kx)
+        assert eigs[-1] / eigs[0] < 10.0
+        bound = 1e-6 * np.trace(kx) / len(kx) / eigs[0]
+        rel = (ref - bundle.sphere) / ref
+        assert -1e-12 <= rel <= bound + 1e-12

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from sphere import network as net
+from sphere import trainer
 from sphere.data import make_synthetic_images, channel_stats, to_float
 from sphere.linalg import NumericsError
-from sphere.trainer import (AdamW, OptimizerError, TrainConfig, build_blocks,
-                            cosine_lr, features, knn_eval, param_checksum,
-                            train_greedy, train_probe)
+from sphere.trainer import (AdamW, FrozenBlocksMutatedError, OptimizerError, TrainConfig,
+                            build_blocks, cosine_lr, evaluate_config, features,
+                            knn_eval, param_checksum, train_greedy, train_probe)
 
 
 class TestAdamW:
@@ -70,6 +71,13 @@ class TestTrainConfig:
     def test_requires_batch_of_two(self):
         with pytest.raises(NumericsError):
             TrainConfig(batch_size=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", "float16"), ("activation", "foo"), ("channels", ()), ("lam", -0.1),
+    ], ids=["dtype", "activation", "channels", "lam"])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(NumericsError, match=field if field != "lam" else "lambda"):
+            TrainConfig(**{field: value})
 
     def test_epochs_split_across_blocks(self):
         cfg = TrainConfig(channels=(8, 16, 32), epochs=12)
@@ -135,12 +143,59 @@ class TestTrainGreedy:
             opt.step(grads)
         assert param_checksum(net.block_params(*blocks[0])) == sum_before
 
+    def test_each_stage_input_forwarded_once(self, monkeypatch):
+        # outside block_backward, blocks 0..L-2 each run once over the
+        # training images (300 > one 256-image chunk) and block L-1 never
+        x, _ = tiny_dataset(n_per_class=30)
+        images = {}
+        inside = []
+        main_forward, block_backward = net._main_forward, net.block_backward
+
+        def counting_forward(f, h):
+            if not inside:
+                images[id(f)] = images.get(id(f), 0) + len(h)
+            return main_forward(f, h)
+
+        def marked_backward(*args, **kwargs):
+            inside.append(True)
+            try:
+                return block_backward(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(net, "_main_forward", counting_forward)
+        monkeypatch.setattr(net, "block_backward", marked_backward)
+        cfg = TrainConfig(seed=0, channels=(4, 8, 8), epochs=3, batch_size=64, d_proj=8)
+        blocks, _ = train_greedy(cfg, x)
+        assert [images.get(id(f), 0) for f, _ in blocks] == [len(x), len(x), 0]
+
     def test_features_shape(self):
         x, _ = tiny_dataset()
         cfg = TrainConfig(seed=0, **SMALL)
         blocks, _ = train_greedy(cfg, x)
         f = features(blocks, x)
         assert f.shape == (len(x), 16 * 8 * 8)
+
+
+class TestEvaluateConfig:
+    def test_returns_accuracies_only(self):
+        x, y = tiny_dataset(n_per_class=4)
+        res = evaluate_config(TrainConfig(seed=0, **SMALL), x, y, x[:10], y[:10],
+                              probe_epochs=1)
+        assert set(res) == {"train_acc", "test_acc"}
+
+    def test_mutated_blocks_raise(self, monkeypatch):
+        x, y = tiny_dataset(n_per_class=4)
+        real_features = trainer.features
+
+        def mutating_features(blocks, images):
+            blocks[0][0].kernel += 1.0
+            return real_features(blocks, images)
+
+        monkeypatch.setattr(trainer, "features", mutating_features)
+        with pytest.raises(FrozenBlocksMutatedError):
+            evaluate_config(TrainConfig(seed=0, **SMALL), x, y, x[:10], y[:10],
+                            probe_epochs=1)
 
 
 class TestProbe:
