@@ -30,9 +30,10 @@ from .linalg import NumericsError, svd
 from .losses import sphere_grad_linear, sphere_loss
 from .oracle import principal_projection
 from .plasticity import Rule, RuleState, oja_step
-from .trainer import (ABLATION_GRID, TrainConfig, blocks_checksum, evaluate_config,
-                      features, knn_eval, run_ablation, run_linearity_study,
-                      run_transfer, train_greedy, train_linear_block, train_probe)
+from .trainer import (ABLATION_GRID, OptimizerError, TrainConfig, TrainingDivergedError,
+                      blocks_checksum, evaluate_config, features, knn_eval, run_ablation,
+                      run_linearity_study, run_transfer, train_greedy, train_linear_block,
+                      train_probe)
 
 SUMMARY_SCHEMA = 1
 
@@ -466,7 +467,8 @@ def main(argv=None):
             args.seed = cfg.get("train.seed", 0)
         write_manifest(args.out, cfg, args.seed, args.command)
         return args.fn(args, cfg)
-    except (ConfigError, datamod.FormatError, NumericsError) as exc:
+    except (ConfigError, datamod.FormatError, NumericsError, net.MemoryConstraintError,
+            TrainingDivergedError, OptimizerError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -4,7 +4,9 @@ in the linear case Y = X @ W.
 ``structural_grads`` is the objective's one definition: it returns the
 loss bundle and dL/dZ that training and the linear analyses use, while
 ``sphere_loss`` / ``orth_loss`` / ``oja_equiv_loss`` evaluate single terms
-as references.  Two evaluation paths exist on purpose:
+as references.  Every term is evaluated through B x B batch Grams (or Z's
+singular values), never an M x M matrix.  Two evaluation paths exist on
+purpose:
 
 * the training path (``normalize=True``, the default) row-normalizes its
   inputs first, which bounds loss magnitudes across datasets;
@@ -88,31 +90,34 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
     their sum; the bundle's sphere slot reports it.  `kx` must come from
     input_gram with the same `normalize`.  With normalize=True, Z is
     row-normalized first and dL/dZ includes that map's Jacobian.
+
+    All terms use K_Z = Z Z^T: the penalty is ||K_Z||^2 - 2 tr K_Z + M, its
+    gradient 4 (K_Z - I) Z, and dL/dZ one B x B coefficient matrix times Z.
     """
     if normalize:
         zn = np.linalg.norm(z, axis=1, keepdims=True)
         z_hat = z / np.maximum(zn, eps)
     else:
         z_hat = z
-    kd = z_hat @ z_hat.T - kx
-    m = z.shape[1]
-    zz = z_hat.T @ z_hat - np.eye(m, dtype=z.dtype)
-    orth = float(np.sum(zz * zz))
+    kz = z_hat @ z_hat.T
+    kd = kz - kx
+    orth = float(np.sum(kz * kz) - 2.0 * np.trace(kz) + z.shape[1])
     match = float(np.sum(kd * kd)) if use_sphere else 0.0
-    g_hat = 4.0 * kd @ z_hat if use_sphere else 0.0
+    coef = 4.0 * kd if use_sphere else 0.0
     if use_oja:
         # ridge keeps the inverse usable on near-singular batch Grams
         a = np.linalg.inv(kx + 1e-6 * np.trace(kx) / kx.shape[0] * np.eye(kx.shape[0], dtype=kx.dtype))
         ad = a @ kd
         match += 0.25 * float(np.trace(ad @ kd))
-        g_hat = g_hat + 0.5 * (ad + ad.T) @ z_hat
+        coef = coef + 0.5 * (ad + ad.T)
     if lam != 0.0:
-        g_hat = g_hat + lam * 4.0 * (z_hat @ zz)
-    dz = g_hat
+        kz[np.diag_indices_from(kz)] -= 1.0
+        coef = coef + lam * 4.0 * kz
+    dz = coef @ z_hat
     if normalize:
-        big = zn[:, 0] >= eps
-        dot = np.sum(g_hat * z_hat, axis=1, keepdims=True)
-        dz = np.where(big[:, None], (g_hat - dot * z_hat) / np.maximum(zn, eps), g_hat / eps)
+        # rows clamped to norm eps were scaled by the constant 1/eps
+        dot = np.sum(dz * z_hat, axis=1, keepdims=True) * (zn >= eps)
+        dz = (dz - dot * z_hat) / np.maximum(zn, eps)
     return LossBundle(sphere=match, orth=orth, total=match + lam * orth, lam=lam), dz
 
 
@@ -128,17 +133,19 @@ def sphere_grad_linear(x, w) -> np.ndarray:
 
 
 def orth_loss(z, normalize: bool = True, eps: float = DEFAULT_EPS) -> float:
-    """Column-orthogonality penalty ||Z^T Z - I||_F^2."""
+    """Column-orthogonality penalty ||Z^T Z - I||_F^2 = sum (s^2 - 1)^2 over
+    Z's singular values s, plus 1 per zero eigenvalue of Z^T Z; exact near
+    an orthonormal Z, where ||K_Z||^2 - 2 tr K_Z + M cancels."""
     z = as_matrix(z)
     if normalize:
         z = row_normalize(z, eps)
-    m = z.shape[1]
-    return frob_norm_sq(z.T @ z - np.eye(m, dtype=z.dtype))
+    s = np.linalg.svd(z, compute_uv=False)
+    return float(np.sum((s * s - 1.0) ** 2) + (z.shape[1] - len(s)))
 
 
 def orth_grad_linear(x, w) -> np.ndarray:
     """Weight gradient of the orthogonality penalty for Y = X @ W:
-    X^T Y (Y^T Y - I).
+    X^T Y (Y^T Y - I) = X^T (Y Y^T - I) Y.
 
     It equals exactly 1/4 of the derivative of ||Y^T Y - I||_F^2 (the
     direction is identical; only the constant differs).
@@ -148,5 +155,6 @@ def orth_grad_linear(x, w) -> np.ndarray:
     if x.shape[1] != w.shape[0]:
         raise NumericsError("shape mismatch: X cols != W rows")
     y = x @ w
-    m = w.shape[1]
-    return x.T @ (y @ (y.T @ y - np.eye(m, dtype=y.dtype)))
+    ky = y @ y.T
+    ky[np.diag_indices_from(ky)] -= 1.0
+    return x.T @ (ky @ y)

@@ -20,9 +20,14 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
 LEAKY_SLOPE = 0.01
 
 
+# widest flattened block output the orthogonality loss accepts without phi
+ORTH_WIDTH_CAP = 4096
+
+
 class MemoryConstraintError(RuntimeError):
-    """Orthogonality loss on full-width features is refused: without the
-    auxiliary projection the M' x M' product does not fit the budget."""
+    """Orthogonality loss on features wider than ORTH_WIDTH_CAP without the
+    auxiliary projection is refused, mirroring the paper's ablation row; the
+    library itself never forms the M' x M' product."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +75,6 @@ def im2col(x, kh, kw, stride, pad):
     return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * kh * kw)
 
 
-def col2im(cols, x_shape, kh, kw, stride, pad):
-    b, c, h, w = x_shape
-    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols = cols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-    if pad == 0:
-        return xp
-    return xp[:, :, pad:-pad, pad:-pad]
-
-
 def conv_forward(x, kernel, bias, stride: int = 1, padding: int = 1):
     """Cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw).
 
@@ -100,18 +92,12 @@ def conv_forward(x, kernel, bias, stride: int = 1, padding: int = 1):
     return out, cache
 
 
-def conv_backward(grad_out, cache, need_dx: bool = True):
-    """Gradients of a conv_forward call; returns (dkernel, dbias, dx)."""
-    x_shape, cols, kernel, stride, pad = cache
-    o, c, kh, kw = kernel.shape
-    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)
-    dkernel = (g.T @ cols).reshape(kernel.shape)
-    dbias = g.sum(axis=0)
-    dx = None
-    if need_dx:
-        dcols = g @ kernel.reshape(o, -1)
-        dx = col2im(dcols, x_shape, kh, kw, stride, pad)
-    return dkernel, dbias, dx
+def conv_backward(grad_out, cache):
+    """Parameter gradients of a conv_forward call; returns (dkernel, dbias).
+    No input gradient: a block's input is never trained through."""
+    _, cols, kernel, _, _ = cache
+    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, kernel.shape[0])
+    return (g.T @ cols).reshape(kernel.shape), g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +127,6 @@ def avgpool2x2(x):
     return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
 
-def global_avgpool_forward(x):
-    b, c, h, w = x.shape
-    return x.mean(axis=(2, 3)), x.shape
-
-
-def global_avgpool_backward(grad_out, x_shape):
-    b, c, h, w = x_shape
-    return np.broadcast_to(grad_out[:, :, None, None], x_shape) / (h * w)
-
-
 def flatten(x):
     """FeatureMap (B,C,H,W) -> Matrix (B, C*H*W)."""
     return x.reshape(x.shape[0], -1)
@@ -177,7 +153,9 @@ class MainBlock:
 @dataclass
 class AuxBlock:
     """Projection head: (1x1 conv, halving channels) x depth -> global
-    average pool -> fully-connected to d_proj dimensions."""
+    average pool -> fully-connected to d_proj dimensions.  The 1x1 convs
+    run as channel matmuls on (B*H*W, C) rows; kernels keep the conv shape
+    (O, C, 1, 1)."""
 
     conv_kernels: list
     conv_biases: list
@@ -249,34 +227,22 @@ def _main_forward(f: MainBlock, x):
 
 
 def _aux_forward(phi: AuxBlock, yp):
-    h = yp
+    """Z of the projection head on main output yp (B, C, H, W); the cache
+    holds each 1x1 conv's input rows and activation derivative."""
+    b, c, h, w = yp.shape
+    rows = yp.transpose(0, 2, 3, 1).reshape(b * h * w, c)
     conv_caches = []
-    for k, b in zip(phi.conv_kernels, phi.conv_biases):
-        c_out, cache = conv_forward(h, k, b, stride=1, padding=0)
-        a, d_act = activation(phi.activation, c_out)
-        conv_caches.append((cache, d_act))
-        h = a
-    g, gap_shape = global_avgpool_forward(h)
+    for k, bias in zip(phi.conv_kernels, phi.conv_biases):
+        a, d_act = activation(phi.activation, rows @ k.reshape(k.shape[0], -1).T + bias)
+        conv_caches.append((rows, d_act))
+        rows = a
+    g = rows.reshape(b, h * w, -1).mean(axis=1)
     z = g @ phi.fc_w + phi.fc_b
-    return z, (conv_caches, gap_shape, g)
-
-
-def block_forward(f: MainBlock, phi, x):
-    """Forward one block: returns (Yp, Z).
-
-    With phi=None the block has no projection head and Z is the flattened
-    main output itself.
-    """
-    yp, _ = _main_forward(f, x)
-    if phi is None:
-        return yp, flatten(yp)
-    z, _ = _aux_forward(phi, yp)
-    return yp, z
+    return z, (conv_caches, g)
 
 
 def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
-                   orth_width_cap: int = 4096, use_sphere: bool = True,
-                   use_oja: bool = False):
+                   use_sphere: bool = True, use_oja: bool = False):
     """Compute the block-local loss on (Z, flattened input) and reverse-mode
     gradients for every parameter of f and phi.
 
@@ -288,7 +254,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
     yp, (conv_cache, d_act, pool_cache) = _main_forward(f, x)
     if phi is None:
         z = flatten(yp)
-        if lam != 0.0 and z.shape[1] > orth_width_cap:
+        if lam != 0.0 and z.shape[1] > ORTH_WIDTH_CAP:
             raise MemoryConstraintError(
                 f"orthogonality loss on full-width features ({z.shape[1]} dims) "
                 "requires the auxiliary projection; memory constraint"
@@ -304,23 +270,24 @@ def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
     if phi is None:
         d_yp = dz.reshape(yp.shape)
     else:
-        conv_caches, gap_shape, g = aux_cache
+        conv_caches, g = aux_cache
         grads["aux.fc_w"] = g.T @ dz
         grads["aux.fc_b"] = dz.sum(axis=0)
-        dg = dz @ phi.fc_w.T
-        dh = global_avgpool_backward(dg, gap_shape)
+        b, c, h, w = yp.shape
+        # pooling backward: each image's gradient spread over its H*W rows
+        d_rows = np.repeat(dz @ phi.fc_w.T / (h * w), h * w, axis=0)
         for i in range(len(conv_caches) - 1, -1, -1):
-            cache, da = conv_caches[i]
-            dk, db, dh = conv_backward(dh * da, cache, need_dx=True)
-            grads[f"aux.conv{i}_kernel"] = dk
-            grads[f"aux.conv{i}_bias"] = db
-        d_yp = dh
+            rows, da = conv_caches[i]
+            k = phi.conv_kernels[i]
+            d_pre = d_rows * da
+            grads[f"aux.conv{i}_kernel"] = (d_pre.T @ rows).reshape(k.shape)
+            grads[f"aux.conv{i}_bias"] = d_pre.sum(axis=0)
+            d_rows = d_pre @ k.reshape(k.shape[0], -1)
+        d_yp = d_rows.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
     # skip path (if any) is detached: d_yp passes to the pooled main path only
     da = maxpool2x2_backward(d_yp, pool_cache)
-    dk, db, _ = conv_backward(da * d_act, conv_cache, need_dx=False)
-    grads["main.kernel"] = dk
-    grads["main.bias"] = db
+    grads["main.kernel"], grads["main.bias"] = conv_backward(da * d_act, conv_cache)
     return grads, bundle
 
 

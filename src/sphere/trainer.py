@@ -13,7 +13,7 @@ import numpy as np
 from . import data as datamod
 from . import network as net
 from .linalg import NumericsError
-from .losses import input_gram, orth_grad_linear, structural_grads
+from .losses import input_gram, structural_grads
 from .oracle import cka, principal_projection, svd_alignment
 
 
@@ -303,9 +303,9 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k: int = 5) -> 
 
 
 def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, lr: float = 1e-2,
-                       lam: float = 0.0, seed: int = 0):
+                       seed: int = 0):
     """Train a single dense linear map W against the raw structural loss
-    (plus optional orthogonality term) with AdamW; full-batch.
+    with AdamW; full-batch.
 
     Returns (w, history): history[i] is the raw sphere loss at the weights
     that step i's gradient was taken at.
@@ -319,10 +319,7 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, lr: float = 1e
     history = []
     for step in range(steps):
         bundle, dz = structural_grads(x @ params["w"], kx, normalize=False)
-        g = x.T @ dz
-        if lam:
-            g = g + lam * orth_grad_linear(x, params["w"])
-        opt.step({"w": g}, lr=cosine_lr(step, steps, lr))
+        opt.step({"w": x.T @ dz}, lr=cosine_lr(step, steps, lr))
         history.append(bundle.sphere)
     return params["w"], history
 

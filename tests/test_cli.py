@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from sphere import cli, trainer
 from sphere.cli import (ConfigError, DEFAULT_CONFIG, load_config, main,
                         parse_config_text, train_config_from, write_summary)
 
@@ -125,6 +126,28 @@ class TestArtifacts:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "NumericsError"
         assert "float16" in record["message"]
+
+    def test_refused_orth_without_phi_exit_code(self, tmp_path, capsys):
+        # default widths: block 0's flattened output is 48 * 16 * 16 = 12288 wide
+        out = tmp_path / "r"
+        code = main(["--out", str(out), "--set", "data.n_per_class=2",
+                     "--set", "train.use_phi=false", "train"])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MemoryConstraintError"
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("error", [trainer.TrainingDivergedError, trainer.OptimizerError])
+    def test_training_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        def diverge(config, images):
+            raise error("non-finite")
+        monkeypatch.setattr(cli, "train_greedy", diverge)
+        out = tmp_path / "r"
+        assert main(["--out", str(out), *TINY, "train"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": error.__name__, "message": "non-finite"}
+        assert not (out / "summary.json").exists()
 
     def test_unencodable_summary_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):

@@ -7,6 +7,8 @@ training objective (structural_grads) is pinned to the reference
 evaluators sphere_loss, orth_loss and oja_equiv_loss.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,15 +174,35 @@ class TestTotalLoss:
 
 
 class TestStructuralGrads:
-    def test_bundle_matches_reference_losses(self):
+    @pytest.mark.parametrize("m", [5, 24])  # M < B and M > B
+    def test_bundle_matches_reference_losses(self, m):
         # training path: both terms equal the row-normalized reference
-        # evaluators up to rounding (those symmetrize their Grams)
+        # evaluators up to rounding (those symmetrize their Grams, and
+        # orth_loss works from singular values), and the penalty equals
+        # ||Z^T Z - I||^2 formed in M x M
         rng = np.random.default_rng(15)
         x = rng.standard_normal((9, 20))
-        z = rng.standard_normal((9, 5)) * rng.uniform(0.5, 2.0, size=(9, 1))
+        z = rng.standard_normal((9, m)) * rng.uniform(0.5, 2.0, size=(9, 1))
         bundle, _ = structural_grads(z, input_gram(x), lam=0.8)
         assert bundle.sphere == pytest.approx(sphere_loss(z, x, normalize=True), rel=1e-12)
         assert bundle.orth == pytest.approx(orth_loss(z, normalize=True), rel=1e-12)
+        zn = row_normalize(z)
+        direct = np.sum((zn.T @ zn - np.eye(m)) ** 2)
+        assert bundle.orth == pytest.approx(direct, rel=1e-12)
+
+    def test_memory_stays_in_batch_space(self):
+        # Z of 64 x 4096: an M x M Gram alone would be 64 times Z's size
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((64, 300))
+        z = rng.standard_normal((64, 4096))
+        kx = input_gram(x)
+        tracemalloc.start()
+        try:
+            structural_grads(z, kx, lam=0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * z.nbytes
 
     def test_oja_term_matches_oja_equiv_loss(self):
         # The ridge r = 1e-6 tr(K)/B adds r to every eigenvalue of K, so each

@@ -1,6 +1,7 @@
 """Block architecture tests: convolution against a naive 6-loop reference,
-pooling, activations, and finite-difference verification of every
-parameter gradient produced by block_backward.
+pooling, activations, the projection head against 1x1 convs, and
+finite-difference verification of every parameter gradient produced by
+block_backward.
 
 All finite-difference checks run in float64; the step sizes below were
 chosen to stay clear of maxpool argmax ties.
@@ -11,6 +12,7 @@ import pytest
 
 from sphere import network as net
 from sphere.linalg import NumericsError
+from sphere.losses import input_gram, structural_grads
 
 
 def conv2d_naive(x, kernel, bias, stride=1, pad=1):
@@ -97,10 +99,9 @@ class TestConv:
             return float(np.sum(out * g))
 
         out, cache = net.conv_forward(x, k, b, stride=1, padding=1)
-        dk, db, dx = net.conv_backward(g, cache, need_dx=True)
+        dk, db = net.conv_backward(g, cache)
         h = 1e-6
-        for arr, grad in ((k, dk), (b, db), (x, dx)):
-            it = np.nditer(arr, flags=["multi_index"])
+        for arr, grad in ((k, dk), (b, db)):
             rngi = np.random.default_rng(5)
             flat_idx = rngi.choice(arr.size, size=min(10, arr.size), replace=False)
             for fi in flat_idx:
@@ -134,14 +135,6 @@ class TestPooling:
         out = net.avgpool2x2(x)
         assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
-    def test_global_avgpool_backward_fd(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 3, 4, 4))
-        g, shape = net.global_avgpool_forward(x)
-        assert g.shape == (2, 3)
-        dx = net.global_avgpool_backward(np.ones_like(g), shape)
-        assert np.allclose(dx, 1.0 / 16.0)
-
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4, 2, 2))
@@ -154,25 +147,43 @@ class TestBlockForward:
         f = net.init_main_block(3, 8, rng)
         phi = net.init_aux_block(8, d_proj=16, depth=1, rng=rng)
         x = rng.standard_normal((4, 3, 8, 8))
-        yp, z = net.block_forward(f, phi, x)
+        yp, _ = net._main_forward(f, x)
+        z, _ = net._aux_forward(phi, yp)
         assert yp.shape == (4, 8, 4, 4)
         assert z.shape == (4, 16)
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_aux_head_matches_conv_reference(self, depth):
+        # the channel-matmul head equals 1x1 convs on (B, C, H, W), a
+        # spatial mean and the fully-connected map
+        rng = np.random.default_rng(6)
+        phi = net.init_aux_block(8, d_proj=5, depth=depth, rng=rng)
+        yp = rng.standard_normal((3, 8, 4, 4))
+        h = yp
+        for k, b in zip(phi.conv_kernels, phi.conv_biases):
+            h = net.activation(phi.activation, conv2d_naive(h, k, b, pad=0))[0]
+        expected = h.mean(axis=(2, 3)) @ phi.fc_w + phi.fc_b
+        z, _ = net._aux_forward(phi, yp)
+        assert np.allclose(z, expected, atol=1e-12)
+
     def test_no_phi_returns_flat_main(self):
+        # without a head, the loss is taken on the flattened main output
         rng = np.random.default_rng(9)
         f = net.init_main_block(3, 4, rng)
         x = rng.standard_normal((2, 3, 6, 6))
-        yp, z = net.block_forward(f, None, x)
-        assert np.array_equal(z, net.flatten(yp))
+        yp, _ = net._main_forward(f, x)
+        expected, _ = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam=0.8)
+        _, bundle = net.block_backward(f, None, x, lam=0.8)
+        assert bundle == expected
 
     def test_skip_connection_adds_avgpooled_input(self):
         rng = np.random.default_rng(10)
         f = net.init_main_block(3, 8, rng, use_skip=True)
         x = rng.standard_normal((2, 3, 8, 8))
-        yp_skip, _ = net.block_forward(f, None, x)
+        yp_skip, _ = net._main_forward(f, x)
         f_noskip = net.MainBlock(kernel=f.kernel, bias=f.bias,
                                  activation=f.activation, use_skip=False)
-        yp_plain, _ = net.block_forward(f_noskip, None, x)
+        yp_plain, _ = net._main_forward(f_noskip, x)
         skip = net.avgpool2x2(x)
         diff = yp_skip - yp_plain
         assert np.allclose(diff[:, :3], skip)
@@ -186,11 +197,13 @@ class TestBlockBackward:
         ("tanh", 0, False),
         ("relu", 1, False),
         ("sigmoid", 1, True),
+        ("leaky_relu", None, False),  # no head: orth on the flattened output
     ])
     def test_fd_all_params(self, activation, depth, use_skip):
         rng = np.random.default_rng(3)
         f = net.init_main_block(3, 8, rng, activation=activation, use_skip=use_skip)
-        phi = net.init_aux_block(8, d_proj=12, depth=depth, rng=rng, activation=activation)
+        phi = None if depth is None else net.init_aux_block(
+            8, d_proj=12, depth=depth, rng=rng, activation=activation)
         x = rng.standard_normal((5, 3, 8, 8))
         grads, _ = net.block_backward(f, phi, x, lam=0.8)
         params = net.block_params(f, phi)
@@ -267,5 +280,5 @@ class TestBlockBackward:
         rng = np.random.default_rng(18)
         f = net.init_main_block(8, 4, rng, use_skip=True)
         x = rng.standard_normal((2, 8, 8, 8))
-        yp, _ = net.block_forward(f, None, x)
+        yp, _ = net._main_forward(f, x)
         assert yp.shape == (2, 4, 4, 4)
