@@ -140,6 +140,9 @@ def load_config(path, overrides):
             cfg[key] = CONFIG_SCHEMA[key](val.strip())
         except ValueError as exc:
             raise ConfigError(f"override {item!r}: {exc}") from exc
+    for key in ("data.n_per_class", "data.n_test_per_class"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     return cfg
 
 

@@ -6,12 +6,21 @@ matrix on which the structural loss is computed.
 Gradients are fully manual reverse-mode and never leave the block: the
 input gradient is not produced, and the detached skip path contributes no
 gradient at all.
+
+Memory layout: every function takes and returns feature maps in the
+logical NCHW shape (B, C, H, W), but the maps a block produces are
+channels-last (NHWC) in memory, i.e. NCHW views of (B, H, W, C) arrays.
+The conv GEMM yields (B*H*W, O) rows, and numpy's elementwise ufuncs keep
+their input's memory order, so activation, pooling and the aux head's
+(B*H*W, C) rows need no transpose copy.  Code that needs NCHW-ordered
+memory (`flatten`) copies.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import DEFAULT_EPS, NumericsError
 from .losses import input_gram, structural_grads
@@ -41,10 +50,14 @@ def activation(kind: str, x: np.ndarray):
     derivative of 1 on |x| <= 1.
     """
     if kind == "relu":
-        return np.maximum(x, 0.0), (x > 0).astype(x.dtype)
+        return np.maximum(x, 0.0), _indicator(x > 0, x)
     if kind == "leaky_relu":
-        d = np.where(x > 0, 1.0, LEAKY_SLOPE).astype(x.dtype)
-        return np.where(x > 0, x, LEAKY_SLOPE * x), d
+        y = LEAKY_SLOPE * x
+        np.maximum(x, y, out=y)
+        d = _indicator(x > 0, x)
+        d *= 1.0 - LEAKY_SLOPE
+        d += LEAKY_SLOPE
+        return y, d
     if kind == "tanh":
         y = np.tanh(x)
         return y, 1.0 - y * y
@@ -52,8 +65,15 @@ def activation(kind: str, x: np.ndarray):
         y = 1.0 / (1.0 + np.exp(-x))
         return y, y * (1.0 - y)
     if kind == "binary_step":
-        return (x > 0).astype(x.dtype), (np.abs(x) <= 1.0).astype(x.dtype)
+        return _indicator(x > 0, x), _indicator(np.abs(x) <= 1.0, x)
     raise NumericsError(f"unknown activation kind: {kind!r}")
+
+
+def _indicator(mask, like):
+    """0/1 array of like's dtype and memory layout where mask holds."""
+    out = np.empty_like(like)
+    np.copyto(out, mask)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -65,20 +85,23 @@ def _out_hw(h, w, kh, kw, stride, pad):
 
 
 def im2col(x, kh, kw, stride, pad):
+    """Patch rows of x (B,C,H,W): (B*OH*OW, kh*kw*C), columns in (kh, kw, C)
+    order.  One copy from a strided window view of the channels-last padded
+    input; each window row's (kw, C) run is contiguous in both arrays."""
     b, c, h, w = x.shape
     oh, ow = _out_hw(h, w, kh, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * kh * kw)
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.empty((b, oh, ow, kh, kw, c), dtype=x.dtype)
+    cols[...] = win.transpose(0, 1, 2, 4, 5, 3)
+    return cols.reshape(b * oh * ow, kh * kw * c)
 
 
 def conv_forward(x, kernel, bias, stride: int = 1, padding: int = 1):
     """Cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw).
 
-    Returns (out, cache) where cache feeds conv_backward.
+    Returns (out, cache) where cache feeds conv_backward; out is
+    (B,O,OH,OW), channels-last in memory.
     """
     b, c, h, w = x.shape
     o, ck, kh, kw = kernel.shape
@@ -86,40 +109,57 @@ def conv_forward(x, kernel, bias, stride: int = 1, padding: int = 1):
         raise NumericsError(f"channel mismatch: input {c}, kernel {ck}")
     oh, ow = _out_hw(h, w, kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
-    out = cols @ kernel.reshape(o, -1).T + bias
-    out = out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2)
+    out = cols @ kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
+    out += bias
     cache = (x.shape, cols, kernel, stride, padding)
-    return out, cache
+    return out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2), cache
 
 
 def conv_backward(grad_out, cache):
-    """Parameter gradients of a conv_forward call; returns (dkernel, dbias).
-    No input gradient: a block's input is never trained through."""
+    """Parameter gradients of a conv_forward call; returns (dkernel, dbias)
+    with dkernel shaped (O,C,kh,kw).  No input gradient: a block's input
+    is never trained through."""
     _, cols, kernel, _, _ = cache
-    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, kernel.shape[0])
-    return (g.T @ cols).reshape(kernel.shape), g.sum(axis=0)
+    o, c, kh, kw = kernel.shape
+    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)
+    dk = (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+    return dk, g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # pooling
 
 
+# the four positions of a 2x2 window, in tie-breaking order
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def maxpool2x2_forward(x):
-    b, c, h, w = x.shape
+    """Max over 2x2 windows as the max of four strided slices; the output
+    keeps x's memory layout and the cache is (x, out)."""
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise NumericsError("maxpool2x2 needs even spatial dims")
-    r = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-    idx = r.argmax(axis=-1)
-    out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
-    return out, (x.shape, idx)
+    s00, s01, s10, s11 = (x[:, :, i::2, j::2] for i, j in _WINDOW)
+    out = np.maximum(s00, s01)
+    np.maximum(out, s10, out=out)
+    np.maximum(out, s11, out=out)
+    return out, (x, out)
 
 
 def maxpool2x2_backward(grad_out, cache):
-    x_shape, idx = cache
-    b, c, h, w = x_shape
-    flat = np.zeros((b, c, h // 2, w // 2, 4), dtype=grad_out.dtype)
-    np.put_along_axis(flat, idx[..., None], grad_out[..., None], axis=-1)
-    return flat.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x_shape)
+    """Route each window's gradient to its first maximum in _WINDOW order."""
+    x, out = cache
+    dx = np.empty_like(x, dtype=grad_out.dtype)
+    unrouted = np.ones_like(out, dtype=bool)   # windows with no winner yet
+    for i, j in _WINDOW[:-1]:
+        win = x[:, :, i::2, j::2] == out
+        win &= unrouted
+        np.multiply(grad_out, win, out=dx[:, :, i::2, j::2])
+        unrouted ^= win
+    i, j = _WINDOW[-1]
+    np.multiply(grad_out, unrouted, out=dx[:, :, i::2, j::2])
+    return dx
 
 
 def avgpool2x2(x):
@@ -216,19 +256,19 @@ def _main_forward(f: MainBlock, x):
     p, pool_cache = maxpool2x2_forward(a)
     out = p
     if f.use_skip:
+        # detached: no gradient flows back through skip.  Missing skip
+        # channels count as zeros, surplus ones are dropped.
         skip = avgpool2x2(x)
-        sc, oc = skip.shape[1], p.shape[1]
-        if sc < oc:
-            skip = np.pad(skip, ((0, 0), (0, oc - sc), (0, 0), (0, 0)))
-        elif sc > oc:
-            skip = skip[:, :oc]
-        out = p + skip  # detached: no gradient flows back through skip
+        n = min(skip.shape[1], p.shape[1])
+        out = p.copy(order="K")  # p stays in the pool cache
+        out[:, :n] += skip[:, :n]
     return out, (conv_cache, d_act, pool_cache)
 
 
 def _aux_forward(phi: AuxBlock, yp):
     """Z of the projection head on main output yp (B, C, H, W); the cache
-    holds each 1x1 conv's input rows and activation derivative."""
+    holds each 1x1 conv's input rows and activation derivative.  The rows
+    are a free view when yp is channels-last in memory."""
     b, c, h, w = yp.shape
     rows = yp.transpose(0, 2, 3, 1).reshape(b * h * w, c)
     conv_caches = []
@@ -287,7 +327,8 @@ def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
 
     # skip path (if any) is detached: d_yp passes to the pooled main path only
     da = maxpool2x2_backward(d_yp, pool_cache)
-    grads["main.kernel"], grads["main.bias"] = conv_backward(da * d_act, conv_cache)
+    da *= d_act
+    grads["main.kernel"], grads["main.bias"] = conv_backward(da, conv_cache)
     return grads, bundle
 
 

@@ -118,8 +118,16 @@ class TrainConfig:
                                 f"got {self.activation!r}")
         if not self.channels:
             raise NumericsError("channels must list at least one block width")
+        if min(self.channels) < 1:
+            raise NumericsError(f"channels must all be >= 1, got {self.channels}")
         if self.lam < 0:
             raise NumericsError("lambda must be nonnegative")
+        if self.epochs < 1:
+            raise NumericsError(f"epochs must be >= 1, got {self.epochs}")
+        if self.d_proj < 1:
+            raise NumericsError(f"d_proj must be >= 1, got {self.d_proj}")
+        if self.phi_depth < 0:
+            raise NumericsError(f"phi_depth must be >= 0, got {self.phi_depth}")
 
     @property
     def np_dtype(self):

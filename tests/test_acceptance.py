@@ -1,8 +1,8 @@
 """Acceptance suite: the headline quantitative properties, one test per
 criterion, each printing a single PASS/FAIL line.
 
-Criterion 6 retrains blocks repeatedly and takes ~20 minutes on one CPU
-core; everything else finishes in about two minutes total.  When
+Criterion 6 retrains blocks repeatedly and takes about 160 s on a 2-core
+machine with OpenBLAS; everything else finishes in about 30 s total.  When
 SPHERE_DATA_DIR points at a real CIFAR-10 binary layout, criteria 6 and 8
 use it; otherwise they run on the synthetic generators (same formats,
 same code paths).

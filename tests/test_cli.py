@@ -127,6 +127,20 @@ class TestArtifacts:
         assert record["error"] == "NumericsError"
         assert "float16" in record["message"]
 
+    @pytest.mark.parametrize("setting", [
+        "train.d_proj=-3", "train.d_proj=0", "train.channels=8,0", "train.phi_depth=-1",
+        "train.epochs=0", "data.n_per_class=0", "data.n_test_per_class=0",
+    ])
+    def test_invalid_value_exit_code(self, tmp_path, capsys, setting):
+        out = tmp_path / "r"
+        assert main(["--out", str(out), *TINY, "--set", setting, "train"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] in ("ConfigError", "NumericsError")
+        assert setting.split("=")[0].split(".")[1] in record["message"]
+        assert not (out / "summary.json").exists()
+
     def test_refused_orth_without_phi_exit_code(self, tmp_path, capsys):
         # default widths: block 0's flattened output is 48 * 16 * 16 = 12288 wide
         out = tmp_path / "r"

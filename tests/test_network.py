@@ -4,7 +4,7 @@ finite-difference verification of every parameter gradient produced by
 block_backward.
 
 All finite-difference checks run in float64; the step sizes below were
-chosen to stay clear of maxpool argmax ties.
+chosen to stay clear of maxpool ties.
 """
 
 import numpy as np
@@ -58,6 +58,12 @@ class TestActivations:
         with pytest.raises(NumericsError):
             net.activation("gelu", np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
+    def test_keeps_float32(self, kind):
+        x = np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32)
+        y, d = net.activation(kind, x)
+        assert y.dtype == d.dtype == np.float32
+
 
 class TestConv:
     def test_matches_naive(self):
@@ -67,6 +73,24 @@ class TestConv:
         b = rng.standard_normal(4)
         out, _ = net.conv_forward(x, k, b, stride=1, padding=1)
         assert np.allclose(out, conv2d_naive(x, k, b), atol=1e-12)
+
+    def test_matches_naive_channels_last_input(self):
+        # an NCHW view of NHWC memory, as the blocks produce
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2)
+        k = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        out, _ = net.conv_forward(x, k, b, stride=1, padding=1)
+        assert np.allclose(out, conv2d_naive(x, k, b), atol=1e-12)
+
+    def test_matches_naive_stride_2(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((2, 3, 7, 8))
+        k = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        out, _ = net.conv_forward(x, k, b, stride=2, padding=1)
+        assert out.shape == (2, 4, 4, 4)
+        assert np.allclose(out, conv2d_naive(x, k, b, stride=2), atol=1e-12)
 
     def test_delta_kernel_is_identity(self):
         # 1-channel delta kernel with zero bias reproduces the input
@@ -130,6 +154,31 @@ class TestPooling:
         expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
         assert np.allclose(dx[0, 0], expected)
 
+    @pytest.mark.parametrize("window, winner", [
+        ([[0.0, 1.0], [1.0, 1.0]], (0, 1)),
+        ([[0.0, 0.0], [1.0, 1.0]], (1, 0)),
+    ])
+    def test_maxpool_tie_routes_to_first_winner(self, window, winner):
+        # ties go to the first maximum in (0,0), (0,1), (1,0), (1,1) order
+        x = np.array(window).reshape(1, 1, 2, 2)
+        out, cache = net.maxpool2x2_forward(x)
+        dx = net.maxpool2x2_backward(np.full_like(out, 3.0), cache)
+        expected = np.zeros((1, 1, 2, 2))
+        expected[(0, 0) + winner] = 3.0
+        assert np.array_equal(dx, expected)
+
+    def test_maxpool_tie_in_binary_step_block(self):
+        # zero kernel and unit bias: binary_step gives 1.0 everywhere, so
+        # every 2x2 window is a four-way tie and only (0, 0) gets gradient
+        f = net.MainBlock(kernel=np.zeros((2, 3, 3, 3)), bias=np.ones(2),
+                          activation="binary_step")
+        x = np.random.default_rng(19).standard_normal((2, 3, 4, 6))
+        yp, (_, d_act, pool_cache) = net._main_forward(f, x)
+        da = net.maxpool2x2_backward(np.ones_like(yp), pool_cache) * d_act
+        expected = np.zeros((2, 2, 4, 6))
+        expected[:, :, 0::2, 0::2] = 1.0
+        assert np.array_equal(da, expected)
+
     def test_avgpool(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         out = net.avgpool2x2(x)
@@ -165,6 +214,19 @@ class TestBlockForward:
         expected = h.mean(axis=(2, 3)) @ phi.fc_w + phi.fc_b
         z, _ = net._aux_forward(phi, yp)
         assert np.allclose(z, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("use_skip", [False, True])
+    @pytest.mark.parametrize("channels_last_input", [False, True])
+    def test_output_is_channels_last(self, use_skip, channels_last_input):
+        # the layout contract: block outputs are NHWC in memory, so the aux
+        # head's rows and the next block's im2col need no transpose copy
+        rng = np.random.default_rng(21)
+        f = net.init_main_block(3, 8, rng, use_skip=use_skip)
+        x = rng.standard_normal((2, 8, 8, 3))
+        x = x.transpose(0, 3, 1, 2) if channels_last_input else x.reshape(2, 3, 8, 8)
+        yp, _ = net._main_forward(f, x)
+        assert yp.shape == (2, 8, 4, 4)
+        assert yp.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_no_phi_returns_flat_main(self):
         # without a head, the loss is taken on the flattened main output

@@ -74,7 +74,9 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("dtype", "float16"), ("activation", "foo"), ("channels", ()), ("lam", -0.1),
-    ], ids=["dtype", "activation", "channels", "lam"])
+        ("channels", (8, 0)), ("epochs", 0), ("d_proj", 0), ("phi_depth", -1),
+    ], ids=["dtype", "activation", "channels", "lam", "channel_width", "epochs", "d_proj",
+            "phi_depth"])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(NumericsError, match=field if field != "lam" else "lambda"):
             TrainConfig(**{field: value})
