@@ -2,6 +2,10 @@
 
 Config files are flat ``key = value`` text with ``[section]`` headers;
 command-line ``--set section.key=value`` overrides win over file values.
+The ``train.*`` keys are the fields of ``trainer.TrainConfig``, parsed by
+the type of each field's default.  ``data.dataset`` is synthetic, texture
+or cifar10.  ``probe.epochs`` is the linear probe's epoch count for
+``train --probe``, ``probe``, ``ablate`` and ``transfer``.
 Every run writes three artifacts into the output directory:
 
   manifest.txt   resolved config, code version, seed (identity of the run)
@@ -21,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,10 +35,9 @@ from .linalg import NumericsError, svd
 from .losses import sphere_grad_linear, sphere_loss
 from .oracle import principal_projection
 from .plasticity import Rule, RuleState, oja_step
-from .trainer import (ABLATION_GRID, OptimizerError, TrainConfig, TrainingDivergedError,
-                      blocks_checksum, evaluate_config, features, knn_eval, run_ablation,
-                      run_linearity_study, run_transfer, train_greedy, train_linear_block,
-                      train_probe)
+from .trainer import (OptimizerError, TrainConfig, TrainingDivergedError, blocks_checksum,
+                      evaluate_config, features, knn_eval, probe_blocks, run_ablation,
+                      run_linearity_study, run_transfer, train_greedy, train_linear_block)
 
 SUMMARY_SCHEMA = 1
 
@@ -55,24 +59,12 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+_PARSERS = {tuple: _int_tuple, bool: _bool, int: int, float: float, str: str}
+
 CONFIG_SCHEMA = {
-    "train.channels": _int_tuple,
-    "train.activation": str,
-    "train.lam": float,
-    "train.lr": float,
-    "train.weight_decay": float,
-    "train.batch_size": int,
-    "train.epochs": int,
-    "train.seed": int,
-    "train.use_sphere": _bool,
-    "train.use_oja": _bool,
-    "train.use_orth": _bool,
-    "train.use_phi": _bool,
-    "train.phi_depth": int,
-    "train.d_proj": int,
-    "train.dtype": str,
+    **{f"train.{f.name}": _PARSERS[type(f.default)] for f in fields(TrainConfig)},
     "data.dir": str,
-    "data.dataset": str,          # cifar10 | synthetic | texture
+    "data.dataset": str,
     "data.n_per_class": int,
     "data.n_test_per_class": int,
     "data.noise": float,
@@ -88,6 +80,19 @@ DEFAULT_CONFIG = {
     "data.seed": 100,
     "probe.epochs": 20,
 }
+
+DATASETS = ("synthetic", "texture", "cifar10")
+
+
+def _parse_value(cfg: dict, key: str, val: str, key_at: str, val_at: str) -> None:
+    """Store CONFIG_SCHEMA[key](val) in cfg; `key_at` and `val_at` prefix the
+    errors with the position of the key and of the value."""
+    if key not in CONFIG_SCHEMA:
+        raise ConfigError(f"{key_at}: unknown key {key!r}")
+    try:
+        cfg[key] = CONFIG_SCHEMA[key](val.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{val_at}: bad value for {key}: {exc}") from exc
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -110,15 +115,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}:{col}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        full = f"{section}.{key}" if section else key
-        if full not in CONFIG_SCHEMA:
-            col = raw.index(key) + 1
-            raise ConfigError(f"{source}:{lineno}:{col}: unknown key {full!r}")
-        try:
-            out[full] = CONFIG_SCHEMA[full](val.strip())
-        except ValueError as exc:
-            col = raw.index("=") + 2
-            raise ConfigError(f"{source}:{lineno}:{col}: bad value for {full}: {exc}") from exc
+        _parse_value(out, f"{section}.{key}" if section else key, val,
+                     f"{source}:{lineno}:{raw.index(key) + 1}",
+                     f"{source}:{lineno}:{raw.index('=') + 2}")
     return out
 
 
@@ -133,16 +132,13 @@ def load_config(path, overrides):
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected section.key=value")
         key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"override: unknown key {key!r}")
-        try:
-            cfg[key] = CONFIG_SCHEMA[key](val.strip())
-        except ValueError as exc:
-            raise ConfigError(f"override {item!r}: {exc}") from exc
+        _parse_value(cfg, key.strip(), val, "override", f"override {item!r}")
     for key in ("data.n_per_class", "data.n_test_per_class"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    if cfg["data.dataset"] not in DATASETS:
+        raise ConfigError(f"data.dataset must be one of {', '.join(DATASETS)}, "
+                          f"got {cfg['data.dataset']!r}")
     return cfg
 
 
@@ -160,6 +156,7 @@ def train_config_from(cfg: dict, seed=None) -> TrainConfig:
 def _git_describe():
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
@@ -328,10 +325,7 @@ def cmd_train(args, cfg):
     payload = {"command": "train", "param_checksum": checksum,
                "final_total": records[-1]["total"], "n_train": len(ytr)}
     if args.probe:
-        ftr = features(blocks, xtr)
-        fte = features(blocks, xte)
-        tr_acc, te_acc = train_probe(ftr, ytr, fte, yte, epochs=cfg["probe.epochs"],
-                                     seed=args.seed)
+        tr_acc, te_acc = probe_blocks(config, blocks, xtr, ytr, xte, yte, cfg["probe.epochs"])
         payload.update(train_acc=tr_acc, test_acc=te_acc)
         print(f"probe train {tr_acc:.3f}  test {te_acc:.3f}")
     write_summary(args.out, payload)
@@ -361,10 +355,9 @@ def cmd_knn(args, cfg):
 def cmd_ablate(args, cfg):
     config = train_config_from(cfg, seed=args.seed)
     xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
-    rows = run_ablation(config, xtr, ytr, xte, yte, grid=ABLATION_GRID)
+    rows = run_ablation(config, xtr, ytr, xte, yte, probe_epochs=cfg["probe.epochs"])
     for r in rows:
-        acc = "refused" if r["test_acc"] is None else f"{r['test_acc']:.3f}"
-        print(f"{r['combo']:<24s} {acc}")
+        print(f"{r['combo']:<24s} {r['test_acc']:.3f}")
     write_summary(args.out, {"command": "ablate", "rows": rows})
     return 0
 
@@ -376,7 +369,7 @@ def cmd_transfer(args, cfg):
     mean, std = datamod.channel_stats(src)
     xsrc = datamod.to_float(src, mean, std, config.np_dtype)
     xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
-    res = run_transfer(xsrc, src.labels, xtr, ytr, xte, yte, config)
+    res = run_transfer(xsrc, src.labels, xtr, ytr, xte, yte, config, cfg["probe.epochs"])
     write_summary(args.out, {"command": "transfer", **res})
     print(f"transfer {res['transfer_acc']:.3f}  direct {res['direct_acc']:.3f}  "
           f"gap {res['gap']:.3f}")

@@ -77,15 +77,13 @@ def frob_norm_sq(a) -> float:
     return float(np.sum(np.square(m, dtype=np.result_type(m, np.float64))))
 
 
-def row_normalize(a, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Divide each row by max(its L2 norm, eps).
+def row_normalize(a) -> np.ndarray:
+    """Divide each row by max(its L2 norm, DEFAULT_EPS).
 
-    Rows with norm below eps are scaled by 1/eps (zero rows stay zero), so
-    every output row has norm <= 1 and exactly 1 where the input row norm
-    was >= eps.
+    Rows with norm below DEFAULT_EPS are scaled by 1/DEFAULT_EPS (zero rows
+    stay zero), so every output row has norm <= 1 and exactly 1 where the
+    input row norm was >= DEFAULT_EPS.
     """
-    if eps <= 0:
-        raise NumericsError("eps must be positive")
     m = as_matrix(a)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.maximum(norms, eps)
+    return m / np.maximum(norms, DEFAULT_EPS)

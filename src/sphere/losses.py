@@ -55,7 +55,7 @@ def oja_equiv_loss(y, x, cond_cap: float = 1e10) -> float:
     return 0.25 * float(np.trace(diff @ np.linalg.solve(kx, diff)))
 
 
-def sphere_loss(z, x, normalize: bool = True, eps: float = DEFAULT_EPS) -> float:
+def sphere_loss(z, x, normalize: bool = True) -> float:
     """Structural-matching loss ||K_Z - K_X||_F^2 on the batch Grams.
 
     With ``normalize=True`` both arguments are row-normalized first
@@ -67,22 +67,21 @@ def sphere_loss(z, x, normalize: bool = True, eps: float = DEFAULT_EPS) -> float
     if z.shape[0] != x.shape[0]:
         raise NumericsError("batch-size mismatch between Z and X")
     if normalize:
-        z = row_normalize(z, eps)
-        x = row_normalize(x, eps)
+        z = row_normalize(z)
+        x = row_normalize(x)
     return frob_norm_sq(gram(z) - gram(x))
 
 
-def input_gram(x, normalize: bool = True, eps: float = DEFAULT_EPS) -> np.ndarray:
+def input_gram(x, normalize: bool = True) -> np.ndarray:
     """Batch Gram K_X = X X^T of a flattened block input, row-normalized
     first on the training path: the `kx` argument of structural_grads."""
     if normalize:
-        x = row_normalize(x, eps)
+        x = row_normalize(x)
     return x @ x.T
 
 
 def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
-                     eps: float = DEFAULT_EPS, use_sphere: bool = True,
-                     use_oja: bool = False):
+                     use_sphere: bool = True, use_oja: bool = False):
     """Loss bundle and dL/dZ of L = match(Z, K_X) + lam ||Z^T Z - I||_F^2.
 
     The matching term is ||K_Z - K_X||_F^2 (use_sphere), the ridge-Oja
@@ -96,7 +95,7 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
     """
     if normalize:
         zn = np.linalg.norm(z, axis=1, keepdims=True)
-        z_hat = z / np.maximum(zn, eps)
+        z_hat = z / np.maximum(zn, DEFAULT_EPS)
     else:
         z_hat = z
     kz = z_hat @ z_hat.T
@@ -115,9 +114,9 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
         coef = coef + lam * 4.0 * kz
     dz = coef @ z_hat
     if normalize:
-        # rows clamped to norm eps were scaled by the constant 1/eps
-        dot = np.sum(dz * z_hat, axis=1, keepdims=True) * (zn >= eps)
-        dz = (dz - dot * z_hat) / np.maximum(zn, eps)
+        # rows clamped to norm DEFAULT_EPS were scaled by the constant 1/DEFAULT_EPS
+        dot = np.sum(dz * z_hat, axis=1, keepdims=True) * (zn >= DEFAULT_EPS)
+        dz = (dz - dot * z_hat) / np.maximum(zn, DEFAULT_EPS)
     return LossBundle(sphere=match, orth=orth, total=match + lam * orth, lam=lam), dz
 
 
@@ -132,13 +131,13 @@ def sphere_grad_linear(x, w) -> np.ndarray:
     return x.T @ dy
 
 
-def orth_loss(z, normalize: bool = True, eps: float = DEFAULT_EPS) -> float:
+def orth_loss(z, normalize: bool = True) -> float:
     """Column-orthogonality penalty ||Z^T Z - I||_F^2 = sum (s^2 - 1)^2 over
     Z's singular values s, plus 1 per zero eigenvalue of Z^T Z; exact near
     an orthonormal Z, where ||K_Z||^2 - 2 tr K_Z + M cancels."""
     z = as_matrix(z)
     if normalize:
-        z = row_normalize(z, eps)
+        z = row_normalize(z)
     s = np.linalg.svd(z, compute_uv=False)
     return float(np.sum((s * s - 1.0) ** 2) + (z.shape[1] - len(s)))
 

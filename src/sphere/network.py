@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import DEFAULT_EPS, NumericsError
+from .linalg import NumericsError
 from .losses import input_gram, structural_grads
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
@@ -203,10 +203,6 @@ class AuxBlock:
     fc_b: np.ndarray
     activation: str = "leaky_relu"
 
-    @property
-    def d_proj(self):
-        return self.fc_w.shape[1]
-
     def params(self):
         p = {}
         for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases)):
@@ -281,8 +277,8 @@ def _aux_forward(phi: AuxBlock, yp):
     return z, (conv_caches, g)
 
 
-def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
-                   use_sphere: bool = True, use_oja: bool = False):
+def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
+                   use_oja: bool = False):
     """Compute the block-local loss on (Z, flattened input) and reverse-mode
     gradients for every parameter of f and phi.
 
@@ -303,8 +299,8 @@ def block_backward(f: MainBlock, phi, x, lam: float, eps: float = DEFAULT_EPS,
     else:
         z, aux_cache = _aux_forward(phi, yp)
 
-    bundle, dz = structural_grads(z, input_gram(flatten(x), eps=eps), lam, eps=eps,
-                                  use_sphere=use_sphere, use_oja=use_oja)
+    bundle, dz = structural_grads(z, input_gram(flatten(x)), lam, use_sphere=use_sphere,
+                                  use_oja=use_oja)
     grads = {}
 
     if phi is None:

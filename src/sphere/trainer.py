@@ -103,7 +103,6 @@ class TrainConfig:
     use_phi: bool = True
     phi_depth: int = 1
     d_proj: int = 256
-    dataset: str = "synthetic"
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -434,46 +433,51 @@ def combo_name(flags: dict) -> str:
     return "+".join(parts) if parts else "none"
 
 
+def probe_blocks(config: TrainConfig, blocks, train_images, train_labels, test_images,
+                 test_labels, probe_epochs: int = 20):
+    """Linear probe on the frozen features of trained `blocks`; returns
+    (train_acc, test_acc).  Raises FrozenBlocksMutatedError if the blocks'
+    parameters changed meanwhile."""
+    before = blocks_checksum(blocks)
+    ftr = features(blocks, np.asarray(train_images, dtype=config.np_dtype))
+    fte = features(blocks, np.asarray(test_images, dtype=config.np_dtype))
+    accs = train_probe(ftr, train_labels, fte, test_labels, epochs=probe_epochs,
+                       seed=config.seed)
+    if blocks_checksum(blocks) != before:
+        raise FrozenBlocksMutatedError("probe training mutated block parameters")
+    return accs
+
+
 def evaluate_config(config: TrainConfig, train_images, train_labels, test_images, test_labels,
                     probe_epochs: int = 20):
     """Train blocks unsupervised, then probe on frozen features; returns
     {"train_acc", "test_acc"}."""
     blocks, _ = train_greedy(config, train_images)
-    before = blocks_checksum(blocks)
-    ftr = features(blocks, np.asarray(train_images, dtype=config.np_dtype))
-    fte = features(blocks, np.asarray(test_images, dtype=config.np_dtype))
-    tr_acc, te_acc = train_probe(ftr, train_labels, fte, test_labels,
-                                 epochs=probe_epochs, seed=config.seed)
-    if blocks_checksum(blocks) != before:
-        raise FrozenBlocksMutatedError("probe training mutated block parameters")
+    tr_acc, te_acc = probe_blocks(config, blocks, train_images, train_labels, test_images,
+                                  test_labels, probe_epochs)
     return {"train_acc": tr_acc, "test_acc": te_acc}
 
 
 def run_ablation(base: TrainConfig, train_images, train_labels, test_images, test_labels,
-                 grid=ABLATION_GRID):
+                 grid=ABLATION_GRID, probe_epochs: int = 20):
     """One desk-scale accuracy per loss/architecture combination."""
     rows = []
     for flags in grid:
-        if flags["use_orth"] and not flags["use_phi"]:
-            rows.append({"combo": combo_name(flags), "test_acc": None,
-                         "note": "memory constraint: orth without phi refused"})
-            continue
-        cfg = replace(base, **flags)
-        res = evaluate_config(cfg, train_images, train_labels, test_images, test_labels)
+        res = evaluate_config(replace(base, **flags), train_images, train_labels, test_images,
+                              test_labels, probe_epochs)
         rows.append({"combo": combo_name(flags), "test_acc": res["test_acc"], "note": ""})
     return rows
 
 
 def run_transfer(source_images, source_labels, target_train_images, target_train_labels,
-                 target_test_images, target_test_labels, config: TrainConfig):
+                 target_test_images, target_test_labels, config: TrainConfig,
+                 probe_epochs: int = 20):
     """Blocks trained on the source set, probe on the target; reports the
     gap against training the blocks directly on the target."""
     blocks, _ = train_greedy(config, source_images)
-    ftr = features(blocks, np.asarray(target_train_images, dtype=config.np_dtype))
-    fte = features(blocks, np.asarray(target_test_images, dtype=config.np_dtype))
-    _, transfer_acc = train_probe(ftr, target_train_labels, fte, target_test_labels,
-                                  seed=config.seed)
+    _, transfer_acc = probe_blocks(config, blocks, target_train_images, target_train_labels,
+                                   target_test_images, target_test_labels, probe_epochs)
     direct = evaluate_config(config, target_train_images, target_train_labels,
-                             target_test_images, target_test_labels)
+                             target_test_images, target_test_labels, probe_epochs)
     return {"transfer_acc": transfer_acc, "direct_acc": direct["test_acc"],
             "gap": transfer_acc - direct["test_acc"]}

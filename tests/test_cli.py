@@ -3,6 +3,8 @@ the cheap subcommands end to end."""
 
 import json
 import os
+import subprocess
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from sphere import cli, trainer
 from sphere.cli import (ConfigError, DEFAULT_CONFIG, load_config, main,
                         parse_config_text, train_config_from, write_summary)
+from sphere.trainer import TrainConfig
 
 # float64 blocks small enough that every training command runs in about a second
 TINY = ["--set", "train.dtype=float64", "--set", "train.channels=4,8",
@@ -77,6 +80,23 @@ class TestConfigParser:
         assert tc.epochs == 6
         assert tc.seed == 7
 
+    # a valid value other than the default for every TrainConfig field
+    NON_DEFAULT = {
+        "channels": "8,16", "activation": "tanh", "lam": "0.5", "lr": "0.01",
+        "weight_decay": "0.1", "batch_size": "64", "epochs": "6", "seed": "3",
+        "use_sphere": "false", "use_oja": "true", "use_orth": "false", "use_phi": "false",
+        "phi_depth": "2", "d_proj": "64", "dtype": "float32",
+    }
+
+    @pytest.mark.parametrize("field", fields(TrainConfig), ids=lambda f: f.name)
+    def test_every_train_field_is_a_key(self, field):
+        overrides = [f"train.{field.name}={self.NON_DEFAULT[field.name]}"]
+        if field.name == "use_sphere":
+            overrides.append("train.use_oja=true")  # one matching loss stays on
+        value = getattr(train_config_from(load_config(None, overrides)), field.name)
+        assert value != field.default
+        assert type(value) is type(field.default)
+
 
 class TestArtifacts:
     def test_oja_demo_writes_manifest_and_summary(self, tmp_path):
@@ -130,6 +150,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("setting", [
         "train.d_proj=-3", "train.d_proj=0", "train.channels=8,0", "train.phi_depth=-1",
         "train.epochs=0", "data.n_per_class=0", "data.n_test_per_class=0",
+        "data.dataset=bogus",
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, setting):
         out = tmp_path / "r"
@@ -162,6 +183,21 @@ class TestArtifacts:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": error.__name__, "message": "non-finite"}
         assert not (out / "summary.json").exists()
+
+    def test_manifest_version_from_package_checkout(self, tmp_path, monkeypatch):
+        # the version names the checkout holding the package, not the cwd's
+        try:
+            described = subprocess.run(["git", "describe", "--always", "--dirty"],
+                                       cwd=os.path.dirname(os.path.abspath(cli.__file__)),
+                                       capture_output=True, text=True, timeout=10)
+        except OSError:
+            pytest.skip("git is not installed")
+        if described.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "run", "oja-demo"]) == 0
+        manifest = (tmp_path / "run" / "manifest.txt").read_text()
+        assert f"version = {described.stdout.strip()}\n" in manifest
 
     def test_unencodable_summary_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):
@@ -208,6 +244,21 @@ def test_command_smoke(tmp_path, command):
     assert summary["command"] == command
     assert set(summary) == {"schema", "command"} | keys
     assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("command", ["ablate", "transfer"])
+def test_probe_epochs_reach_every_probe(tmp_path, monkeypatch, command):
+    seen = []
+    real_probe = trainer.train_probe
+
+    def recording_probe(*args, epochs, **kwargs):
+        seen.append(epochs)
+        return real_probe(*args, epochs=epochs, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_probe", recording_probe)
+    out = tmp_path / command
+    assert main(["--out", str(out), *TINY, "--set", "probe.epochs=3", command]) == 0
+    assert seen and all(e == 3 for e in seen)
 
 
 class TestGradcheckCommand:

@@ -199,6 +199,24 @@ class TestEvaluateConfig:
             evaluate_config(TrainConfig(seed=0, **SMALL), x, y, x[:10], y[:10],
                             probe_epochs=1)
 
+    def test_transfer_source_blocks_checked(self, monkeypatch):
+        x, y = tiny_dataset(n_per_class=4)
+        real_features = trainer.features
+        calls = []
+
+        def mutating_features(blocks, images):
+            # only the first probe, the one on the source-trained blocks
+            calls.append(1)
+            if len(calls) == 1:
+                blocks[0][0].kernel += 1.0
+            return real_features(blocks, images)
+
+        monkeypatch.setattr(trainer, "features", mutating_features)
+        with pytest.raises(FrozenBlocksMutatedError):
+            trainer.run_transfer(x, y, x, y, x[:10], y[:10], TrainConfig(seed=0, **SMALL),
+                                 probe_epochs=1)
+        assert len(calls) == 2
+
 
 class TestProbe:
     def test_separable_blobs(self):
