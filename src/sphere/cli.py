@@ -20,6 +20,7 @@ binary layout, the synthetic generators are used instead.
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,6 +84,10 @@ DEFAULT_CONFIG = {
 
 DATASETS = ("synthetic", "texture", "cifar10")
 
+# lowest accepted value of each bounded key outside TrainConfig's own checks
+MINIMUM = {"data.n_per_class": 1, "data.n_test_per_class": 1, "data.noise": 0,
+           "data.seed": 0, "train.seed": 0, "probe.epochs": 1}
+
 
 def _parse_value(cfg: dict, key: str, val: str, key_at: str, val_at: str) -> None:
     """Store CONFIG_SCHEMA[key](val) in cfg; `key_at` and `val_at` prefix the
@@ -133,9 +138,9 @@ def load_config(path, overrides):
             raise ConfigError(f"override {item!r}: expected section.key=value")
         key, _, val = item.partition("=")
         _parse_value(cfg, key.strip(), val, "override", f"override {item!r}")
-    for key in ("data.n_per_class", "data.n_test_per_class"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    for key, low in MINIMUM.items():
+        if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] >= low):
+            raise ConfigError(f"{key} must be finite and >= {low}, got {cfg[key]}")
     if cfg["data.dataset"] not in DATASETS:
         raise ConfigError(f"data.dataset must be one of {', '.join(DATASETS)}, "
                           f"got {cfg['data.dataset']!r}")
@@ -248,6 +253,10 @@ def prepared_arrays(cfg: dict, dtype=np.float64):
 
 
 def cmd_verify_lemma(args, cfg):
+    if args.B <= args.M:
+        raise ConfigError(f"--B must be > --M, got B={args.B}, M={args.M}")
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     spec = datamod.SyntheticSpec(b=args.B, n=args.N,
                                  spectrum=datamod.harmonic_spectrum(args.N), seed=args.seed)
     x = datamod.synth_gaussian(spec)
@@ -369,7 +378,7 @@ def cmd_transfer(args, cfg):
     mean, std = datamod.channel_stats(src)
     xsrc = datamod.to_float(src, mean, std, config.np_dtype)
     xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
-    res = run_transfer(xsrc, src.labels, xtr, ytr, xte, yte, config, cfg["probe.epochs"])
+    res = run_transfer(xsrc, xtr, ytr, xte, yte, config, cfg["probe.epochs"])
     write_summary(args.out, {"command": "transfer", **res})
     print(f"transfer {res['transfer_acc']:.3f}  direct {res['direct_acc']:.3f}  "
           f"gap {res['gap']:.3f}")
@@ -461,6 +470,8 @@ def main(argv=None):
         cfg = load_config(args.config, args.overrides)
         if args.seed is None:
             args.seed = cfg.get("train.seed", 0)
+        elif args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         write_manifest(args.out, cfg, args.seed, args.command)
         return args.fn(args, cfg)
     except (ConfigError, datamod.FormatError, NumericsError, net.MemoryConstraintError,

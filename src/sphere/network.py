@@ -3,6 +3,10 @@ dense) main transform with activation and pooling, plus a lightweight
 auxiliary projection that maps the block output to a low-dimensional
 matrix on which the structural loss is computed.
 
+A main block max-pools its conv output before the activation for relu,
+leaky_relu, tanh and sigmoid, which commute with max-pooling, and after
+it for binary_step, whose threshold creates ties (see POOL_FIRST).
+
 Gradients are fully manual reverse-mode and never leave the block: the
 input gradient is not produced, and the detached skip path contributes no
 gradient at all.
@@ -26,6 +30,12 @@ from .linalg import NumericsError
 from .losses import input_gram, structural_grads
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
+# Non-decreasing, so a block max-pools before these, on a quarter of the
+# elements: maxpool(act(x)) = act(maxpool(x)).  The gradient reaches the
+# same element unless the activation rounds two distinct pre-activations
+# of a window to one value.  binary_step activates first: its threshold
+# ties 0.3 with 0.5, which would move maxpool2x2_backward's routing.
+POOL_FIRST = ("relu", "leaky_relu", "tanh", "sigmoid")
 LEAKY_SLOPE = 0.01
 
 
@@ -43,30 +53,40 @@ class MemoryConstraintError(RuntimeError):
 # elementwise activations
 
 
-def activation(kind: str, x: np.ndarray):
-    """Elementwise activation; returns (value, derivative at x).
+def activation(kind: str, x: np.ndarray, grad: bool = True):
+    """Elementwise activation; returns (value, derivative at x), or
+    (value, None) when grad is False.
 
     binary_step forwards a hard threshold and uses a straight-through
     derivative of 1 on |x| <= 1.
     """
     if kind == "relu":
-        return np.maximum(x, 0.0), _indicator(x > 0, x)
-    if kind == "leaky_relu":
+        y = np.maximum(x, 0.0)
+    elif kind == "leaky_relu":
         y = LEAKY_SLOPE * x
         np.maximum(x, y, out=y)
+    elif kind == "tanh":
+        y = np.tanh(x)
+    elif kind == "sigmoid":
+        y = 1.0 / (1.0 + np.exp(-x))
+    elif kind == "binary_step":
+        y = _indicator(x > 0, x)
+    else:
+        raise NumericsError(f"unknown activation kind: {kind!r}")
+    if not grad:
+        return y, None
+    if kind == "relu":
+        return y, _indicator(x > 0, x)
+    if kind == "leaky_relu":
         d = _indicator(x > 0, x)
         d *= 1.0 - LEAKY_SLOPE
         d += LEAKY_SLOPE
         return y, d
     if kind == "tanh":
-        y = np.tanh(x)
         return y, 1.0 - y * y
     if kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-x))
         return y, y * (1.0 - y)
-    if kind == "binary_step":
-        return _indicator(x > 0, x), _indicator(np.abs(x) <= 1.0, x)
-    raise NumericsError(f"unknown activation kind: {kind!r}")
+    return y, _indicator(np.abs(x) <= 1.0, x)  # binary_step
 
 
 def _indicator(mask, like):
@@ -178,8 +198,10 @@ def flatten(x):
 
 @dataclass
 class MainBlock:
-    """Conv 3x3 -> activation -> maxpool 2x2, with an optional detached
-    avg-pool skip connection (channel mismatch handled by zero-padding)."""
+    """Conv 3x3 -> maxpool 2x2 -> activation, with an optional detached
+    avg-pool skip connection (channel mismatch handled by zero-padding).
+    The same function as conv -> activation -> maxpool, which binary_step
+    keeps: its threshold ties would move the pooling gradient's routing."""
 
     kernel: np.ndarray
     bias: np.ndarray
@@ -246,19 +268,29 @@ def init_aux_block(in_ch, d_proj=256, depth=1, rng=None, activation="leaky_relu"
     )
 
 
-def _main_forward(f: MainBlock, x):
+def _main_forward(f: MainBlock, x, train: bool = True):
+    """Main-path output of block f on x and, when train is set, the cache
+    block_backward reads: (conv cache, activation derivative, pool cache).
+    With train False the cache is None, and no derivative, im2col rows or
+    pool cache outlive their use."""
     c_out, conv_cache = conv_forward(x, f.kernel, f.bias, stride=1, padding=1)
-    a, d_act = activation(f.activation, c_out)
-    p, pool_cache = maxpool2x2_forward(a)
-    out = p
+    if not train:
+        conv_cache = None  # frees the im2col rows before the activation
+    if f.activation in POOL_FIRST:
+        pooled, pool_cache = maxpool2x2_forward(c_out)
+        p, d_act = activation(f.activation, pooled, grad=train)
+    else:
+        a, d_act = activation(f.activation, c_out, grad=train)
+        p, pool_cache = maxpool2x2_forward(a)
+        if train and f.use_skip:
+            p = p.copy(order="K")  # the pool cache keeps the pooled map
     if f.use_skip:
         # detached: no gradient flows back through skip.  Missing skip
         # channels count as zeros, surplus ones are dropped.
         skip = avgpool2x2(x)
         n = min(skip.shape[1], p.shape[1])
-        out = p.copy(order="K")  # p stays in the pool cache
-        out[:, :n] += skip[:, :n]
-    return out, (conv_cache, d_act, pool_cache)
+        p[:, :n] += skip[:, :n]
+    return p, (conv_cache, d_act, pool_cache) if train else None
 
 
 def _aux_forward(phi: AuxBlock, yp):
@@ -322,8 +354,12 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
         d_yp = d_rows.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
     # skip path (if any) is detached: d_yp passes to the pooled main path only
-    da = maxpool2x2_backward(d_yp, pool_cache)
-    da *= d_act
+    if f.activation in POOL_FIRST:
+        d_yp *= d_act  # d_yp is a view of a fresh array: dz or d_rows
+        da = maxpool2x2_backward(d_yp, pool_cache)
+    else:
+        da = maxpool2x2_backward(d_yp, pool_cache)
+        da *= d_act
     grads["main.kernel"], grads["main.bias"] = conv_backward(da, conv_cache)
     return grads, bundle
 

@@ -119,8 +119,13 @@ class TrainConfig:
             raise NumericsError("channels must list at least one block width")
         if min(self.channels) < 1:
             raise NumericsError(f"channels must all be >= 1, got {self.channels}")
-        if self.lam < 0:
-            raise NumericsError("lambda must be nonnegative")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise NumericsError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise NumericsError(f"lambda (lam) must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise NumericsError(f"weight_decay must be finite and >= 0, "
+                                f"got {self.weight_decay}")
         if self.epochs < 1:
             raise NumericsError(f"epochs must be >= 1, got {self.epochs}")
         if self.d_proj < 1:
@@ -176,12 +181,13 @@ def build_blocks(config: TrainConfig, in_channels: int, rng):
 
 def _forward(blocks, x, chunk: int = 256):
     """Main-path output of `blocks` applied in turn to x, one chunk of
-    images at a time so im2col buffers stay bounded on large inputs."""
+    images at a time so im2col buffers stay bounded on large inputs.  No
+    activation derivative or cache is built."""
     outs = []
     for i in range(0, len(x), chunk):
         h = x[i : i + chunk]
         for f, _ in blocks:
-            h, _ = net._main_forward(f, h)
+            h, _ = net._main_forward(f, h, train=False)
         outs.append(h)
     return np.concatenate(outs)
 
@@ -469,7 +475,7 @@ def run_ablation(base: TrainConfig, train_images, train_labels, test_images, tes
     return rows
 
 
-def run_transfer(source_images, source_labels, target_train_images, target_train_labels,
+def run_transfer(source_images, target_train_images, target_train_labels,
                  target_test_images, target_test_labels, config: TrainConfig,
                  probe_epochs: int = 20):
     """Blocks trained on the source set, probe on the target; reports the

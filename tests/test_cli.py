@@ -150,16 +150,31 @@ class TestArtifacts:
     @pytest.mark.parametrize("setting", [
         "train.d_proj=-3", "train.d_proj=0", "train.channels=8,0", "train.phi_depth=-1",
         "train.epochs=0", "data.n_per_class=0", "data.n_test_per_class=0",
-        "data.dataset=bogus",
+        "data.dataset=bogus", "train.lr=-1", "train.lr=0", "train.lr=inf",
+        "train.weight_decay=-5", "train.lam=nan", "probe.epochs=0", "data.noise=-1",
+        "data.seed=-1", "train.seed=-1", "--seed=-1",
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, setting):
         out = tmp_path / "r"
-        assert main(["--out", str(out), *TINY, "--set", setting, "train"]) == 2
+        flags = [setting] if setting.startswith("--") else ["--set", setting]
+        assert main(["--out", str(out), *TINY, *flags, "train"]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["error"] in ("ConfigError", "NumericsError")
-        assert setting.split("=")[0].split(".")[1] in record["message"]
+        assert setting.split("=")[0].split(".")[-1] in record["message"]
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--B", "8"], ["--B", "1"], ["--steps", "0"]],
+                             ids=" ".join)
+    def test_verify_lemma_invalid_flag_exit_code(self, tmp_path, capsys, flags):
+        out = tmp_path / "r"
+        assert main(["--out", str(out), "verify-lemma", "--M", "8", *flags]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert flags[0] in record["message"]
         assert not (out / "summary.json").exists()
 
     def test_refused_orth_without_phi_exit_code(self, tmp_path, capsys):

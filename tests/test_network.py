@@ -252,6 +252,80 @@ class TestBlockForward:
         assert np.allclose(diff[:, 3:], 0.0)
 
 
+def activate_then_pool(f, x, lam=0.8):
+    """Reference main path of block f in conv -> activation -> maxpool
+    order, without a head: (output, grads of block_backward(f, None, x))."""
+    c, conv_cache = net.conv_forward(x, f.kernel, f.bias)
+    a, d_act = net.activation(f.activation, c)
+    p, pool_cache = net.maxpool2x2_forward(a)
+    yp = p.copy()
+    if f.use_skip:
+        skip = net.avgpool2x2(x)
+        n = min(skip.shape[1], p.shape[1])
+        yp[:, :n] += skip[:, :n]
+    _, dz = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam)
+    da = net.maxpool2x2_backward(dz.reshape(yp.shape), pool_cache) * d_act
+    dk, db = net.conv_backward(da, conv_cache)
+    return yp, {"main.kernel": dk, "main.bias": db}
+
+
+class TestPoolOrder:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", net.POOL_FIRST)
+    @pytest.mark.parametrize("use_skip", [False, True])
+    def test_pool_first_matches_activate_then_pool(self, kind, dtype, use_skip):
+        # forced ties: output channel 1 is zero everywhere, and image 0 is
+        # blank, so its conv output is the bias in every window; relu adds
+        # zeros of its own
+        rng = np.random.default_rng(22)
+        f = net.init_main_block(3, 4, rng, activation=kind, use_skip=use_skip, dtype=dtype)
+        f.kernel[1] = 0.0
+        f.bias[1] = 0.0
+        x = rng.standard_normal((5, 3, 8, 8)).astype(dtype)
+        x[0] = 0.0
+        expected_yp, expected = activate_then_pool(f, x)
+        yp, _ = net._main_forward(f, x)
+        grads, _ = net.block_backward(f, None, x, lam=0.8)
+        assert yp.dtype == dtype
+        assert np.array_equal(yp, expected_yp)
+        for name in expected:
+            assert np.array_equal(grads[name], expected[name]), name
+
+    def test_binary_step_keeps_activate_then_pool_routing(self):
+        # delta kernel: the conv output is the input, all of it in (0, 1),
+        # so binary_step makes every window a four-way tie of 1.0 (e.g.
+        # 0.3 and 0.5) and the gradient goes to (0, 0), not the pre-activation max
+        k = np.zeros((1, 1, 3, 3))
+        k[0, 0, 1, 1] = 1.0
+        f = net.MainBlock(kernel=k, bias=np.zeros(1), activation="binary_step", use_skip=True)
+        x = np.random.default_rng(23).uniform(0.05, 0.95, size=(4, 1, 4, 4))
+        x[0, 0, :2, :2] = [[0.3, 0.5], [0.1, 0.2]]
+        _, expected = activate_then_pool(f, x)
+        grads, _ = net.block_backward(f, None, x, lam=0.8)
+        assert np.any(expected["main.kernel"])
+        for name in expected:
+            assert np.array_equal(grads[name], expected[name]), name
+
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
+    @pytest.mark.parametrize("use_skip", [False, True])
+    def test_no_cache_forward_matches_training_forward(self, kind, use_skip):
+        rng = np.random.default_rng(24)
+        f = net.init_main_block(3, 4, rng, activation=kind, use_skip=use_skip)
+        x = rng.standard_normal((3, 3, 8, 8))
+        yp, cache = net._main_forward(f, x)
+        out, no_cache = net._main_forward(f, x, train=False)
+        assert no_cache is None and cache is not None
+        assert np.array_equal(out, yp)
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
+    def test_no_cache_activation(self, kind):
+        x = np.random.default_rng(25).standard_normal((2, 3, 4, 4))
+        y, d = net.activation(kind, x, grad=False)
+        assert d is None
+        assert np.array_equal(y, net.activation(kind, x)[0])
+
+
 class TestBlockBackward:
     @pytest.mark.parametrize("activation,depth,use_skip", [
         ("leaky_relu", 1, False),

@@ -1,6 +1,8 @@
 """Trainer tests: optimizer identities, schedule shape, greedy-training
 locality and determinism, probe/KNN behavior on controlled feature sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("dtype", "float16"), ("activation", "foo"), ("channels", ()), ("lam", -0.1),
         ("channels", (8, 0)), ("epochs", 0), ("d_proj", 0), ("phi_depth", -1),
+        ("lr", 0.0), ("lam", float("nan")), ("weight_decay", -5.0),
+        ("weight_decay", float("inf")),
     ], ids=["dtype", "activation", "channels", "lam", "channel_width", "epochs", "d_proj",
-            "phi_depth"])
+            "phi_depth", "lr", "lam_nan", "weight_decay", "weight_decay_inf"])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(NumericsError, match=field if field != "lam" else "lambda"):
             TrainConfig(**{field: value})
@@ -153,10 +157,10 @@ class TestTrainGreedy:
         inside = []
         main_forward, block_backward = net._main_forward, net.block_backward
 
-        def counting_forward(f, h):
+        def counting_forward(f, h, *args, **kwargs):
             if not inside:
                 images[id(f)] = images.get(id(f), 0) + len(h)
-            return main_forward(f, h)
+            return main_forward(f, h, *args, **kwargs)
 
         def marked_backward(*args, **kwargs):
             inside.append(True)
@@ -177,6 +181,26 @@ class TestTrainGreedy:
         blocks, _ = train_greedy(cfg, x)
         f = features(blocks, x)
         assert f.shape == (len(x), 16 * 8 * 8)
+
+
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
+    def test_features_keep_no_cache(self, kind):
+        # the forward-only pass holds the im2col rows and the conv output at
+        # most: with the activation derivative and the conv and pool caches
+        # kept until the block returns, the peak is about rows + 3.3 * conv
+        rng = np.random.default_rng(0)
+        f = net.init_main_block(3, 16, rng, activation=kind, use_skip=True)
+        x = rng.standard_normal((64, 3, 16, 16))
+        features([(f, None)], x)
+        tracemalloc.start()
+        try:
+            features([(f, None)], x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = 64 * 16 * 16 * 27 * 8   # im2col rows of a 3x3 kernel, float64
+        conv = 64 * 16 * 16 * 16 * 8   # conv output
+        assert peak < rows + 2 * conv
 
 
 class TestEvaluateConfig:
@@ -213,7 +237,7 @@ class TestEvaluateConfig:
 
         monkeypatch.setattr(trainer, "features", mutating_features)
         with pytest.raises(FrozenBlocksMutatedError):
-            trainer.run_transfer(x, y, x, y, x[:10], y[:10], TrainConfig(seed=0, **SMALL),
+            trainer.run_transfer(x, x, y, x[:10], y[:10], TrainConfig(seed=0, **SMALL),
                                  probe_epochs=1)
         assert len(calls) == 2
 
