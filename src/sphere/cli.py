@@ -5,7 +5,7 @@ command-line ``--set section.key=value`` overrides win over file values.
 The ``train.*`` keys are the fields of ``trainer.TrainConfig``, parsed by
 the type of each field's default.  ``data.dataset`` is synthetic, texture
 or cifar10.  ``probe.epochs`` is the linear probe's epoch count for
-``train --probe``, ``probe``, ``ablate`` and ``transfer``.
+``train --probe``, ``ablate`` and ``transfer``.
 Every run writes three artifacts into the output directory:
 
   manifest.txt   resolved config, code version, seed (identity of the run)
@@ -35,10 +35,11 @@ from . import network as net
 from .linalg import NumericsError, svd
 from .losses import sphere_grad_linear, sphere_loss
 from .oracle import principal_projection
-from .plasticity import Rule, RuleState, oja_step
-from .trainer import (OptimizerError, TrainConfig, TrainingDivergedError, blocks_checksum,
-                      evaluate_config, features, knn_eval, probe_blocks, run_ablation,
-                      run_linearity_study, run_transfer, train_greedy, train_linear_block)
+from .plasticity import RuleState, oja_step
+from .trainer import (FrozenBlocksMutatedError, OptimizerError, TrainConfig,
+                      TrainingDivergedError, blocks_checksum, features, knn_eval, probe_blocks,
+                      run_ablation, run_linearity_study, run_transfer, train_greedy,
+                      train_linear_block)
 
 SUMMARY_SCHEMA = 1
 
@@ -191,7 +192,6 @@ def write_manifest(outdir: str, cfg: dict, seed: int, command: str) -> None:
 
 
 def write_summary(outdir: str, payload: dict) -> None:
-    os.makedirs(outdir, exist_ok=True)
     body = {"schema": SUMMARY_SCHEMA}
     body.update(payload)
     _write_atomic(os.path.join(outdir, "summary.json"),
@@ -230,22 +230,21 @@ def load_datasets(cfg: dict):
         tr = datamod.subset(datamod.load_cifar10(path, "train"), npc, seed)
         te = datamod.subset(datamod.load_cifar10(path, "test"), ntest, seed)
         return tr, te
-    if cfg["data.dataset"] == "texture":
-        tr = datamod.make_texture_images(npc, seed=seed, noise=cfg["data.noise"], split="train")
-        te = datamod.make_texture_images(ntest, seed=seed + 1, noise=cfg["data.noise"],
-                                         split="test")
-        return tr, te
-    tr = datamod.make_synthetic_images(npc, seed=seed, noise=cfg["data.noise"], split="train")
-    te = datamod.make_synthetic_images(ntest, seed=seed + 1, noise=cfg["data.noise"],
-                                       split="test")
-    return tr, te
+    make = (datamod.make_texture_images if cfg["data.dataset"] == "texture"
+            else datamod.make_synthetic_images)
+    return (make(npc, seed=seed, noise=cfg["data.noise"], split="train"),
+            make(ntest, seed=seed + 1, noise=cfg["data.noise"], split="test"))
 
 
-def prepared_arrays(cfg: dict, dtype=np.float64):
+def config_and_data(cfg: dict, seed: int):
+    """(TrainConfig, xtr, ytr, xte, yte): the run's training config and its
+    datasets standardized by the train split's channel stats, in the
+    config's dtype."""
+    config = train_config_from(cfg, seed=seed)
     tr, te = load_datasets(cfg)
     mean, std = datamod.channel_stats(tr)
-    return (datamod.to_float(tr, mean, std, dtype), tr.labels,
-            datamod.to_float(te, mean, std, dtype), te.labels)
+    return (config, datamod.to_float(tr, mean, std, config.np_dtype), tr.labels,
+            datamod.to_float(te, mean, std, config.np_dtype), te.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +324,7 @@ def cmd_gradcheck(args, cfg):
 
 
 def cmd_train(args, cfg):
-    config = train_config_from(cfg, seed=args.seed)
-    xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
+    config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
     t0 = time.time()
     blocks, records = train_greedy(config, xtr)
     checksum = blocks_checksum(blocks)
@@ -342,18 +340,8 @@ def cmd_train(args, cfg):
     return 0
 
 
-def cmd_probe(args, cfg):
-    config = train_config_from(cfg, seed=args.seed)
-    xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
-    res = evaluate_config(config, xtr, ytr, xte, yte, probe_epochs=cfg["probe.epochs"])
-    write_summary(args.out, {"command": "probe", **res})
-    print(f"train {res['train_acc']:.3f}  test {res['test_acc']:.3f}")
-    return 0
-
-
 def cmd_knn(args, cfg):
-    config = train_config_from(cfg, seed=args.seed)
-    xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
+    config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
     blocks, _ = train_greedy(config, xtr)
     acc = knn_eval(features(blocks, xtr), ytr, features(blocks, xte), yte, k=args.k)
     write_summary(args.out, {"command": "knn", "k": args.k, "test_acc": acc})
@@ -362,8 +350,7 @@ def cmd_knn(args, cfg):
 
 
 def cmd_ablate(args, cfg):
-    config = train_config_from(cfg, seed=args.seed)
-    xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
+    config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
     rows = run_ablation(config, xtr, ytr, xte, yte, probe_epochs=cfg["probe.epochs"])
     for r in rows:
         print(f"{r['combo']:<24s} {r['test_acc']:.3f}")
@@ -372,12 +359,11 @@ def cmd_ablate(args, cfg):
 
 
 def cmd_transfer(args, cfg):
-    config = train_config_from(cfg, seed=args.seed)
+    config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
     # source: texture statistics; target: the configured dataset
     src = datamod.make_texture_images(cfg["data.n_per_class"], seed=cfg["data.seed"] + 7)
     mean, std = datamod.channel_stats(src)
     xsrc = datamod.to_float(src, mean, std, config.np_dtype)
-    xtr, ytr, xte, yte = prepared_arrays(cfg, dtype=config.np_dtype)
     res = run_transfer(xsrc, xtr, ytr, xte, yte, config, cfg["probe.epochs"])
     write_summary(args.out, {"command": "transfer", **res})
     print(f"transfer {res['transfer_acc']:.3f}  direct {res['direct_acc']:.3f}  "
@@ -401,7 +387,7 @@ def cmd_oja_demo(args, cfg):
     x = datamod.synth_gaussian(spec)
     v1 = svd(x).v[:, 0]
     rng = np.random.default_rng(args.seed)
-    state = RuleState(w=rng.standard_normal((16, 1)) * 0.1, eta=1e-3, rule=Rule.OJA)
+    state = RuleState(w=rng.standard_normal((16, 1)) * 0.1, eta=1e-3)
     cos = 0.0
     for step in range(2000):
         state = oja_step(state, x)
@@ -441,9 +427,6 @@ def build_parser():
     sp.add_argument("--probe", action="store_true", help="also fit a linear probe")
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("probe", help="train blocks then evaluate a linear probe")
-    sp.set_defaults(fn=cmd_probe)
-
     sp = sub.add_parser("knn", help="train blocks then KNN-evaluate features")
     sp.add_argument("--k", type=int, default=5)
     sp.set_defaults(fn=cmd_knn)
@@ -472,10 +455,14 @@ def main(argv=None):
             args.seed = cfg.get("train.seed", 0)
         elif args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        write_manifest(args.out, cfg, args.seed, args.command)
+        try:
+            write_manifest(args.out, cfg, args.seed, args.command)
+        except OSError as exc:  # e.g. --out names an existing file
+            raise ConfigError(f"--out {args.out}: cannot write the run there: "
+                              f"{exc.strerror}") from exc
         return args.fn(args, cfg)
     except (ConfigError, datamod.FormatError, NumericsError, net.MemoryConstraintError,
-            TrainingDivergedError, OptimizerError) as exc:
+            TrainingDivergedError, OptimizerError, FrozenBlocksMutatedError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

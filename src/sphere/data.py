@@ -16,6 +16,8 @@ from .linalg import NumericsError
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes, CHW order
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
+# the synthetic generators' shape, CIFAR-10's: 10 classes of 32 x 32 images
+N_CLASSES, SIZE = 10, 32
 
 
 class FormatError(ValueError):
@@ -181,21 +183,20 @@ def harmonic_spectrum(n: int) -> np.ndarray:
     return 1.0 / np.arange(1, n + 1, dtype=np.float64)
 
 
-def make_synthetic_images(n_per_class: int, seed: int, classes: int = 10,
-                          size: int = 32, noise: float = 0.35,
-                          split: str = "train", template_seed: int = 0) -> Dataset:
+def make_synthetic_images(n_per_class: int, seed: int, noise: float = 0.35,
+                          split: str = "train") -> Dataset:
     """Class-structured synthetic image set in CIFAR-10 shape.
 
-    Each class is a smooth color template drawn from `template_seed` (keep
-    it fixed across splits); samples draw gain/shift and pixel noise from
+    Each class is a smooth color template drawn from the fixed seed 0, so
+    every split shares them; samples draw gain/shift and pixel noise from
     `seed`.  Used when no real dataset is mounted.
     """
-    trng = np.random.default_rng(template_seed)
+    trng = np.random.default_rng(0)
     rng = np.random.default_rng(seed)
-    yy, xx = np.meshgrid(np.linspace(0, 1, size), np.linspace(0, 1, size), indexing="ij")
+    yy, xx = np.meshgrid(np.linspace(0, 1, SIZE), np.linspace(0, 1, SIZE), indexing="ij")
     templates = []
-    for _ in range(classes):
-        t = np.zeros((3, size, size))
+    for _ in range(N_CLASSES):
+        t = np.zeros((3, SIZE, SIZE))
         for c in range(3):
             for _ in range(3):
                 fx, fy = trng.uniform(0.5, 3.0, size=2)
@@ -205,14 +206,14 @@ def make_synthetic_images(n_per_class: int, seed: int, classes: int = 10,
                 )
         t = (t - t.min()) / (t.max() - t.min())
         templates.append(t)
-    images = np.empty((classes * n_per_class, 3, size, size), dtype=np.uint8)
-    labels = np.empty(classes * n_per_class, dtype=np.int64)
+    images = np.empty((N_CLASSES * n_per_class, 3, SIZE, SIZE), dtype=np.uint8)
+    labels = np.empty(N_CLASSES * n_per_class, dtype=np.int64)
     i = 0
-    for c in range(classes):
+    for c in range(N_CLASSES):
         for _ in range(n_per_class):
             gain = rng.uniform(0.6, 1.0)
             shift = rng.uniform(-0.1, 0.1)
-            img = gain * templates[c] + shift + noise * rng.standard_normal((3, size, size))
+            img = gain * templates[c] + shift + noise * rng.standard_normal((3, SIZE, SIZE))
             images[i] = np.clip(img * 255.0, 0, 255).astype(np.uint8)
             labels[i] = c
             i += 1
@@ -220,51 +221,50 @@ def make_synthetic_images(n_per_class: int, seed: int, classes: int = 10,
     return Dataset(images=images[order], labels=labels[order], name="synthetic", split=split)
 
 
-def make_texture_images(n_per_class: int, seed: int, classes: int = 10,
-                        size: int = 32, contrast: float = 0.12, noise: float = 0.3,
-                        template_amp: float = 0.0, template_seed: int = 0,
-                        split: str = "train") -> Dataset:
+def make_texture_images(n_per_class: int, seed: int, noise: float = 0.3,
+                        template_amp: float = 0.0, split: str = "train") -> Dataset:
     """Texture-class synthetic image set: each class is an oriented
-    frequency band, samples are band-filtered white noise plus optional
-    smooth class template and iid pixel noise.
+    frequency band drawn from the fixed seed 0, samples are band-filtered
+    white noise at contrast 0.12 plus optional smooth class template and
+    iid pixel noise.
 
     Class information lives in second-order statistics, so a linear readout
     of raw pixels is near chance; this is the harder surrogate used by the
     classification experiments when no real dataset is mounted.
     """
-    trng = np.random.default_rng(template_seed)
+    trng = np.random.default_rng(0)
     rng = np.random.default_rng(seed)
-    fy = np.fft.fftfreq(size)[:, None]
-    fx = np.fft.fftfreq(size)[None, :]
+    fy = np.fft.fftfreq(SIZE)[:, None]
+    fx = np.fft.fftfreq(SIZE)[None, :]
     rad = np.hypot(fy, fx)
     theta = np.arctan2(fy, fx)
     masks = []
     templates = []
-    yy, xx = np.meshgrid(np.linspace(0, 1, size), np.linspace(0, 1, size), indexing="ij")
-    for _ in range(classes):
+    yy, xx = np.meshgrid(np.linspace(0, 1, SIZE), np.linspace(0, 1, SIZE), indexing="ij")
+    for _ in range(N_CLASSES):
         ang = trng.uniform(0, np.pi)
         f0 = trng.uniform(0.08, 0.35)
         bw = trng.uniform(0.03, 0.08)
         d = np.minimum(np.abs(((theta - ang + np.pi / 2) % np.pi) - np.pi / 2), np.pi)
         masks.append(np.exp(-((rad - f0) ** 2) / (2 * bw ** 2)) * np.exp(-(d ** 2) / (2 * 0.3 ** 2)))
-        t = np.zeros((3, size, size))
+        t = np.zeros((3, SIZE, SIZE))
         for c in range(3):
             fxy = trng.uniform(0.5, 2.5, size=2)
             ph = trng.uniform(0, 2 * np.pi, size=2)
             t[c] = np.sin(2 * np.pi * fxy[0] * xx + ph[0]) * np.sin(2 * np.pi * fxy[1] * yy + ph[1])
         templates.append(t)
-    images = np.empty((classes * n_per_class, 3, size, size), dtype=np.uint8)
-    labels = np.empty(classes * n_per_class, dtype=np.int64)
+    images = np.empty((N_CLASSES * n_per_class, 3, SIZE, SIZE), dtype=np.uint8)
+    labels = np.empty(N_CLASSES * n_per_class, dtype=np.int64)
     i = 0
-    for c in range(classes):
+    for c in range(N_CLASSES):
         for _ in range(n_per_class):
-            img = np.empty((3, size, size))
+            img = np.empty((3, SIZE, SIZE))
             for ch in range(3):
-                w = rng.standard_normal((size, size))
+                w = rng.standard_normal((SIZE, SIZE))
                 t = np.fft.ifft2(np.fft.fft2(w) * masks[c]).real
                 img[ch] = t / (t.std() + 1e-9)
-            img = 0.5 + contrast * img + template_amp * templates[c] \
-                + noise * rng.standard_normal((3, size, size))
+            img = 0.5 + 0.12 * img + template_amp * templates[c] \
+                + noise * rng.standard_normal((3, SIZE, SIZE))
             images[i] = np.clip(img * 255.0, 0, 255).astype(np.uint8)
             labels[i] = c
             i += 1

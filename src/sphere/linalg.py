@@ -39,9 +39,6 @@ class SvdResult:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
 
 def svd(a) -> SvdResult:
     """Thin SVD with a deterministic sign convention.

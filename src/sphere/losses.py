@@ -32,7 +32,6 @@ class LossBundle:
     sphere: float
     orth: float
     total: float
-    lam: float
 
 
 def oja_equiv_loss(y, x, cond_cap: float = 1e10) -> float:
@@ -117,7 +116,7 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
         # rows clamped to norm DEFAULT_EPS were scaled by the constant 1/DEFAULT_EPS
         dot = np.sum(dz * z_hat, axis=1, keepdims=True) * (zn >= DEFAULT_EPS)
         dz = (dz - dot * z_hat) / np.maximum(zn, DEFAULT_EPS)
-    return LossBundle(sphere=match, orth=orth, total=match + lam * orth, lam=lam), dz
+    return LossBundle(sphere=match, orth=orth, total=match + lam * orth), dz
 
 
 def sphere_grad_linear(x, w) -> np.ndarray:

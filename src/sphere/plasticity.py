@@ -1,10 +1,10 @@
-"""Direct weight-update rules: classical Hebbian and Oja.
+"""Oja's rule: the Hebbian update with a decay term that keeps the weights
+bounded, kept as the baseline for the structural loss.
 
-Full-batch matrix form; used for baseline comparisons and fixed-point
-sanity checks, not for the block-wise training loop.
+Full-batch matrix form; used by the `oja-demo` command and the Oja
+fixed-point acceptance criterion, not by the block-wise training loop.
 """
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,11 +12,6 @@ import numpy as np
 from .linalg import NumericsError, as_matrix
 
 DIVERGENCE_NORM_CAP = 1e12
-
-
-class Rule(enum.Enum):
-    HEBB = "hebb"
-    OJA = "oja"
 
 
 class DivergenceError(RuntimeError):
@@ -27,27 +22,11 @@ class DivergenceError(RuntimeError):
 class RuleState:
     w: np.ndarray
     eta: float
-    rule: Rule
 
     def __post_init__(self):
         self.w = as_matrix(self.w)
         if self.eta <= 0:
             raise NumericsError("learning rate must be positive")
-
-
-def _checked(state: RuleState, w_new: np.ndarray) -> RuleState:
-    if not np.all(np.isfinite(w_new)) or np.linalg.norm(w_new) > DIVERGENCE_NORM_CAP:
-        raise DivergenceError(f"weights diverged under {state.rule.value} rule")
-    return replace(state, w=w_new)
-
-
-def hebbian_step(state: RuleState, x) -> RuleState:
-    """W <- W + eta * X^T Y with Y = X W (unconstrained, grows without bound)."""
-    x = as_matrix(x)
-    if x.shape[1] != state.w.shape[0]:
-        raise NumericsError("input width does not match weight rows")
-    y = x @ state.w
-    return _checked(state, state.w + state.eta * (x.T @ y))
 
 
 def oja_step(state: RuleState, x) -> RuleState:
@@ -56,4 +35,7 @@ def oja_step(state: RuleState, x) -> RuleState:
     if x.shape[1] != state.w.shape[0]:
         raise NumericsError("input width does not match weight rows")
     y = x @ state.w
-    return _checked(state, state.w + state.eta * (x.T @ y - state.w @ (y.T @ y)))
+    w_new = state.w + state.eta * (x.T @ y - state.w @ (y.T @ y))
+    if not np.all(np.isfinite(w_new)) or np.linalg.norm(w_new) > DIVERGENCE_NORM_CAP:
+        raise DivergenceError("weights diverged under Oja's rule")
+    return replace(state, w=w_new)

@@ -14,7 +14,7 @@ from . import data as datamod
 from . import network as net
 from .linalg import NumericsError
 from .losses import input_gram, structural_grads
-from .oracle import cka, principal_projection, svd_alignment
+from .oracle import cka, svd_alignment
 
 
 class OptimizerError(RuntimeError):
@@ -39,13 +39,12 @@ class AdamW:
     Parameters are updated in place; moments are keyed by parameter name.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, weight_decay: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -72,12 +71,12 @@ class AdamW:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) -> float:
-    """Cosine annealing from base_lr to min_lr over total_steps."""
+def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
+    """Cosine annealing from base_lr to 0 over total_steps."""
     if total_steps <= 0:
         return base_lr
     frac = min(max(step / total_steps, 0.0), 1.0)
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * frac))
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * frac))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +178,13 @@ def build_blocks(config: TrainConfig, in_channels: int, rng):
     return blocks
 
 
-def _forward(blocks, x, chunk: int = 256):
-    """Main-path output of `blocks` applied in turn to x, one chunk of
-    images at a time so im2col buffers stay bounded on large inputs.  No
-    activation derivative or cache is built."""
+def _forward(blocks, x):
+    """Main-path output of `blocks` applied in turn to x, 256 images at a
+    time so im2col buffers stay bounded on large inputs.  No activation
+    derivative or cache is built."""
     outs = []
-    for i in range(0, len(x), chunk):
-        h = x[i : i + chunk]
+    for i in range(0, len(x), 256):
+        h = x[i : i + 256]
         for f, _ in blocks:
             h, _ = net._main_forward(f, h, train=False)
         outs.append(h)
@@ -195,10 +194,15 @@ def _forward(blocks, x, chunk: int = 256):
 def train_greedy(config: TrainConfig, images: np.ndarray):
     """Train blocks strictly in sequence, each against its own local loss.
 
-    `images` is a normalized float array (n, C, H, W).  Returns (blocks,
-    records) where records holds one metrics dict per (block, epoch).
+    `images` is a normalized float array (n, C, H, W) whose sides each
+    block's 2x2 max-pool can halve.  Returns (blocks, records) where
+    records holds one metrics dict per (block, epoch).
     """
     feats = np.asarray(images, dtype=config.np_dtype)
+    depth = len(config.channels)
+    if feats.shape[2] % 2 ** depth or feats.shape[3] % 2 ** depth:
+        raise NumericsError(f"channels: {depth} blocks each halve the image, so its sides must "
+                            f"be divisible by {2 ** depth}, got {feats.shape[2]}x{feats.shape[3]}")
     rng = np.random.default_rng(config.seed)
     blocks = build_blocks(config, feats.shape[1], rng)
     records = []
@@ -242,9 +246,9 @@ def train_greedy(config: TrainConfig, images: np.ndarray):
     return blocks, records
 
 
-def features(blocks, images, batch_size: int = 256) -> np.ndarray:
+def features(blocks, images) -> np.ndarray:
     """Flattened post-pool output of the final block."""
-    return net.flatten(_forward(blocks, images, batch_size))
+    return net.flatten(_forward(blocks, images))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +262,9 @@ def _softmax(logits):
 
 
 def train_probe(train_feats, train_labels, test_feats, test_labels,
-                epochs: int = 20, lr: float = 1e-3, weight_decay: float = 0.05,
-                batch_size: int = 128, seed: int = 0):
-    """Linear softmax probe on frozen features; returns (train_acc, test_acc)."""
+                epochs: int = 20, seed: int = 0):
+    """Linear softmax probe on frozen features, trained with AdamW (lr 1e-3,
+    weight decay 0.05, batches of 128); returns (train_acc, test_acc)."""
     if len(train_feats) != len(train_labels):
         raise NumericsError("feature/label count mismatch")
     n_classes = int(max(train_labels.max(), test_labels.max())) + 1
@@ -272,10 +276,10 @@ def train_probe(train_feats, train_labels, test_feats, test_labels,
     xte = (test_feats - mu) / sd
     params = {"w": (rng.standard_normal((d, n_classes)) * 0.01).astype(xtr.dtype),
               "b": np.zeros(n_classes, dtype=xtr.dtype)}
-    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    opt = AdamW(params, lr=1e-3, weight_decay=0.05)
     onehot = np.eye(n_classes)[train_labels]
     for epoch in range(epochs):
-        for idx in datamod.batch_indices(len(xtr), min(batch_size, len(xtr)), rng, drop_last=False):
+        for idx in datamod.batch_indices(len(xtr), min(128, len(xtr)), rng, drop_last=False):
             xb = xtr[idx]
             p = _softmax(xb @ params["w"] + params["b"])
             g = (p - onehot[idx]) / len(idx)
@@ -303,10 +307,7 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k: int = 5) -> 
         counts = np.bincount(labs)
         best = counts.max()
         tied = np.nonzero(counts == best)[0]
-        if len(tied) == 1:
-            pred = tied[0]
-        else:
-            pred = next(l for l in labs if l in tied)
+        pred = next(l for l in labs if l in tied)
         correct += pred == test_labels[i]
     return correct / len(te)
 
@@ -315,10 +316,9 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k: int = 5) -> 
 # linear block training (oracle verification path)
 
 
-def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, lr: float = 1e-2,
-                       seed: int = 0):
+def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0):
     """Train a single dense linear map W against the raw structural loss
-    with AdamW; full-batch.
+    with full-batch AdamW, lr 1e-2 on a cosine schedule.
 
     Returns (w, history): history[i] is the raw sphere loss at the weights
     that step i's gradient was taken at.
@@ -327,12 +327,12 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, lr: float = 1e
     n = x.shape[1]
     rng = np.random.default_rng(seed)
     params = {"w": rng.standard_normal((n, m)) * (1.0 / math.sqrt(n))}
-    opt = AdamW(params, lr=lr, weight_decay=0.0)
+    opt = AdamW(params, lr=1e-2)
     kx = input_gram(x, normalize=False)
     history = []
     for step in range(steps):
         bundle, dz = structural_grads(x @ params["w"], kx, normalize=False)
-        opt.step({"w": x.T @ dz}, lr=cosine_lr(step, steps, lr))
+        opt.step({"w": x.T @ dz}, lr=cosine_lr(step, steps, 1e-2))
         history.append(bundle.sphere)
     return params["w"], history
 
@@ -341,22 +341,22 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, lr: float = 1e
 # linear-vs-nonlinear branch study
 
 
-def _mlp_init(sizes, rng, act="tanh"):
+def _mlp_init(sizes, rng):
     layers = []
     for i in range(len(sizes) - 1):
         fan_in = sizes[i]
         w = rng.standard_normal((sizes[i], sizes[i + 1])) / math.sqrt(fan_in)
         layers.append({"w": w, "b": np.zeros(sizes[i + 1])})
-    return layers, act
+    return layers
 
 
-def _mlp_forward(layers, act, x):
+def _mlp_forward(layers, x):
     caches = []
     h = x
     for i, lay in enumerate(layers):
         pre = h @ lay["w"] + lay["b"]
         if i < len(layers) - 1:
-            out, d = net.activation(act, pre)
+            out, d = net.activation("tanh", pre)
         else:
             out, d = pre, np.ones_like(pre)
         caches.append((h, d))
@@ -375,32 +375,32 @@ def _mlp_backward(layers, caches, dz):
     return list(reversed(grads))
 
 
-def run_linearity_study(b: int = 256, n: int = 64, m: int = 40, epochs: int = 30,
-                        hidden: int = 128, lr: float = 3e-3, seed: int = 0,
-                        align_k: int = 36):
-    """Train a linear branch and a 3-layer nonlinear branch on the same
-    input under the raw structural-matching loss; log CKA between their
-    outputs per epoch and the final SVD-component alignment (computed in
-    sample space, where the two branches are comparable).
+def run_linearity_study(epochs: int = 30, seed: int = 0):
+    """Train a linear branch (64 -> 40) and a 3-layer tanh branch
+    (64 -> 128 -> 128 -> 40) on the same 256 x 64 harmonic-spectrum input
+    under the raw structural-matching loss; log CKA between their outputs
+    per epoch and the final alignment of the top 36 SVD components
+    (computed in sample space, where the two branches are comparable).
 
     Returns (cka_curve, alignment_matrix).
     """
-    spec = datamod.SyntheticSpec(b=b, n=n, spectrum=datamod.harmonic_spectrum(n), seed=seed)
+    n, m = 64, 40
+    spec = datamod.SyntheticSpec(b=256, n=n, spectrum=datamod.harmonic_spectrum(n), seed=seed)
     x = datamod.synth_gaussian(spec)
     rng = np.random.default_rng(seed + 1)
 
     lin = {"w": rng.standard_normal((n, m)) / math.sqrt(n)}
     lin_opt = AdamW(lin, lr=2e-2)
-    nl_layers, act = _mlp_init([n, hidden, hidden, m], rng)
+    nl_layers = _mlp_init([n, 128, 128, m], rng)
     nl_params = {f"{i}.{k}": v for i, lay in enumerate(nl_layers) for k, v in lay.items()}
-    nl_opt = AdamW(nl_params, lr=lr)
+    nl_opt = AdamW(nl_params, lr=3e-3)
 
     kx = input_gram(x, normalize=False)
     cka_curve = []
     steps_per_epoch = 40
     for epoch in range(epochs + 1):
         z_lin = x @ lin["w"]
-        z_nl, _ = _mlp_forward(nl_layers, act, x)
+        z_nl, _ = _mlp_forward(nl_layers, x)
         cka_curve.append(cka(z_lin, z_nl))
         if epoch == epochs:
             break
@@ -409,15 +409,15 @@ def run_linearity_study(b: int = 256, n: int = 64, m: int = 40, epochs: int = 30
             _, dz_lin = structural_grads(x @ lin["w"], kx, normalize=False)
             lin_opt.step({"w": x.T @ dz_lin},
                          lr=cosine_lr(step, epochs * steps_per_epoch, 2e-2))
-            z, caches = _mlp_forward(nl_layers, act, x)
+            z, caches = _mlp_forward(nl_layers, x)
             _, dz = structural_grads(z, kx, normalize=False)
             gs = _mlp_backward(nl_layers, caches, dz)
             nl_opt.step({f"{i}.{k}": v for i, g in enumerate(gs) for k, v in g.items()},
-                        lr=cosine_lr(step, epochs * steps_per_epoch, lr))
+                        lr=cosine_lr(step, epochs * steps_per_epoch, 3e-3))
 
     z_lin = x @ lin["w"]
-    z_nl, _ = _mlp_forward(nl_layers, act, x)
-    align = svd_alignment(z_lin.T, z_nl.T, k=min(align_k, m))
+    z_nl, _ = _mlp_forward(nl_layers, x)
+    align = svd_alignment(z_lin.T, z_nl.T, k=36)
     return cka_curve, align
 
 
@@ -435,8 +435,8 @@ ABLATION_GRID = (
 
 
 def combo_name(flags: dict) -> str:
-    parts = [k[4:] for k in ("use_oja", "use_sphere", "use_orth", "use_phi") if flags.get(k)]
-    return "+".join(parts) if parts else "none"
+    return "+".join(k[4:] for k in ("use_oja", "use_sphere", "use_orth", "use_phi")
+                    if flags.get(k))
 
 
 def probe_blocks(config: TrainConfig, blocks, train_images, train_labels, test_images,
@@ -471,7 +471,7 @@ def run_ablation(base: TrainConfig, train_images, train_labels, test_images, tes
     for flags in grid:
         res = evaluate_config(replace(base, **flags), train_images, train_labels, test_images,
                               test_labels, probe_epochs)
-        rows.append({"combo": combo_name(flags), "test_acc": res["test_acc"], "note": ""})
+        rows.append({"combo": combo_name(flags), "test_acc": res["test_acc"]})
     return rows
 
 

@@ -24,7 +24,7 @@ from sphere.data import (SyntheticSpec, channel_stats, harmonic_spectrum,
 from sphere.linalg import frob_norm_sq, svd
 from sphere.losses import orth_grad_linear, orth_loss, sphere_grad_linear, sphere_loss
 from sphere.oracle import principal_projection
-from sphere.plasticity import Rule, RuleState, oja_step
+from sphere.plasticity import RuleState, oja_step
 from sphere.trainer import (AdamW, TrainConfig, build_blocks, evaluate_config,
                             features, param_checksum, run_linearity_study,
                             train_greedy, train_linear_block, train_probe)
@@ -135,7 +135,7 @@ def test_criterion_4_oja_fixed_point():
     x = synth_gaussian(spec)
     v1 = svd(x).v[:, 0]
     rng = np.random.default_rng(4)
-    state = RuleState(w=rng.standard_normal((16, 1)) * 0.1, eta=1e-3, rule=Rule.OJA)
+    state = RuleState(w=rng.standard_normal((16, 1)) * 0.1, eta=1e-3)
     cos = 0.0
     steps = 0
     for steps in range(1, 2001):

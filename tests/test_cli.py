@@ -152,7 +152,8 @@ class TestArtifacts:
         "train.epochs=0", "data.n_per_class=0", "data.n_test_per_class=0",
         "data.dataset=bogus", "train.lr=-1", "train.lr=0", "train.lr=inf",
         "train.weight_decay=-5", "train.lam=nan", "probe.epochs=0", "data.noise=-1",
-        "data.seed=-1", "train.seed=-1", "--seed=-1",
+        "data.seed=-1", "train.seed=-1", "--seed=-1", "train.channels=2,2,2,2,2,2",
+        "--out=/dev/null",
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, setting):
         out = tmp_path / "r"
@@ -199,6 +200,28 @@ class TestArtifacts:
         assert record == {"error": error.__name__, "message": "non-finite"}
         assert not (out / "summary.json").exists()
 
+    def test_mutated_blocks_exit_code(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        train_greedy, train_probe = cli.train_greedy, trainer.train_probe
+
+        def recording_greedy(config, images):
+            trained.append(train_greedy(config, images))
+            return trained[-1]
+
+        def mutating_probe(*args, **kwargs):
+            blocks, _ = trained[0]
+            blocks[0][0].kernel += 1.0
+            return train_probe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_greedy", recording_greedy)
+        monkeypatch.setattr(trainer, "train_probe", mutating_probe)
+        out = tmp_path / "r"
+        assert main(["--out", str(out), *TINY, "train", "--probe"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "FrozenBlocksMutatedError"
+        assert not (out / "summary.json").exists()
+
     def test_manifest_version_from_package_checkout(self, tmp_path, monkeypatch):
         # the version names the checkout holding the package, not the cwd's
         try:
@@ -237,7 +260,8 @@ class TestSeed:
 
 
 SMOKE = {
-    "probe": ([], {"train_acc", "test_acc"}),
+    "train": (["--probe"], {"param_checksum", "final_total", "n_train", "train_acc",
+                            "test_acc"}),
     "knn": (["--k", "1"], {"k", "test_acc"}),
     "ablate": ([], {"rows"}),
     "transfer": ([], {"transfer_acc", "direct_acc", "gap"}),

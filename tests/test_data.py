@@ -171,7 +171,7 @@ class TestGenerators:
         assert np.array_equal(a.labels, b.labels)
 
     def test_splits_share_templates(self):
-        # same template_seed, different sample seeds: per-class means correlate
+        # fixed templates, different sample seeds: per-class means correlate
         tr = make_synthetic_images(30, seed=12, noise=0.1)
         te = make_synthetic_images(30, seed=13, noise=0.1, split="test")
         for c in range(3):

@@ -163,7 +163,6 @@ class TestTotalLoss:
         bundle, _ = structural_grads(z, input_gram(x), lam=0.8)
         assert isinstance(bundle, LossBundle)
         assert bundle.total == pytest.approx(bundle.sphere + 0.8 * bundle.orth)
-        assert bundle.lam == 0.8
 
     def test_lambda_zero_drops_orth(self):
         rng = np.random.default_rng(14)

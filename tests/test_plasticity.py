@@ -1,17 +1,16 @@
-"""Hebbian / Oja update-rule tests: fixed points, convergence to the
-principal component, and divergence detection."""
+"""Oja update-rule tests: fixed points, convergence to the principal
+component, and divergence detection."""
 
 import numpy as np
 import pytest
 
 from sphere.data import SyntheticSpec, synth_gaussian
 from sphere.linalg import NumericsError, svd
-from sphere.plasticity import (DivergenceError, Rule, RuleState, hebbian_step,
-                               oja_step)
+from sphere.plasticity import DivergenceError, RuleState, oja_step
 
 
-def make_state(w, eta=1e-3, rule=Rule.OJA):
-    return RuleState(w=np.asarray(w, dtype=np.float64), eta=eta, rule=rule)
+def make_state(w, eta=1e-3):
+    return RuleState(w=np.asarray(w, dtype=np.float64), eta=eta)
 
 
 class TestRuleState:
@@ -26,33 +25,6 @@ class TestRuleState:
         w_before = s0.w.copy()
         oja_step(s0, x)
         assert np.array_equal(s0.w, w_before)
-
-
-class TestHebbian:
-    def test_zero_weights_fixed_point(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((6, 4))
-        s = hebbian_step(make_state(np.zeros((4, 2)), rule=Rule.HEBB), x)
-        assert np.allclose(s.w, 0.0)
-
-    def test_update_formula(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((6, 4))
-        w = rng.standard_normal((4, 2))
-        s = hebbian_step(make_state(w, eta=0.01, rule=Rule.HEBB), x)
-        assert np.allclose(s.w, w + 0.01 * x.T @ (x @ w))
-
-    def test_unbounded_growth_detected(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((32, 4)) * 10
-        s = make_state(rng.standard_normal((4, 1)), eta=0.5, rule=Rule.HEBB)
-        with pytest.raises(DivergenceError):
-            for _ in range(200):
-                s = hebbian_step(s, x)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(NumericsError):
-            hebbian_step(make_state(np.ones((3, 1)), rule=Rule.HEBB), np.ones((5, 4)))
 
 
 class TestOja:

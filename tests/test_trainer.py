@@ -175,6 +175,22 @@ class TestTrainGreedy:
         blocks, _ = train_greedy(cfg, x)
         assert [images.get(id(f), 0) for f, _ in blocks] == [len(x), len(x), 0]
 
+    def test_unhalvable_image_size_refused_before_training(self, monkeypatch):
+        # six 2x2 max-pools need sides divisible by 64; 32x32 images allow five
+        calls = []
+        block_backward = net.block_backward
+
+        def counting_backward(*args, **kwargs):
+            calls.append(1)
+            return block_backward(*args, **kwargs)
+
+        monkeypatch.setattr(net, "block_backward", counting_backward)
+        x, _ = tiny_dataset(n_per_class=1)
+        cfg = TrainConfig(seed=0, channels=(2,) * 6, epochs=6, batch_size=4, d_proj=4)
+        with pytest.raises(NumericsError, match="channels.*64.*32x32"):
+            train_greedy(cfg, x)
+        assert calls == []
+
     def test_features_shape(self):
         x, _ = tiny_dataset()
         cfg = TrainConfig(seed=0, **SMALL)
