@@ -342,6 +342,8 @@ def cmd_train(args, cfg):
 
 def cmd_knn(args, cfg):
     config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
+    if not 1 <= args.k <= len(ytr):
+        raise ConfigError(f"--k must be in [1, {len(ytr)}] (the training images), got {args.k}")
     blocks, _ = train_greedy(config, xtr)
     acc = knn_eval(features(blocks, xtr), ytr, features(blocks, xte), yte, k=args.k)
     write_summary(args.out, {"command": "knn", "k": args.k, "test_acc": acc})
@@ -372,6 +374,8 @@ def cmd_transfer(args, cfg):
 
 
 def cmd_linearity(args, cfg):
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
     curve, align = run_linearity_study(seed=args.seed, epochs=args.epochs)
     diag = float(np.mean(np.diag(align)[:20]))
     off = float((align.sum() - np.trace(align)) / (align.size - align.shape[0]))

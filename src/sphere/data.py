@@ -30,7 +30,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    name: str = ""
     split: str = "train"
 
     def __len__(self):
@@ -54,7 +53,7 @@ def _parse_cifar_records(buf: bytes, source: str) -> Dataset:
         off = int(bad[0]) * CIFAR_RECORD
         raise FormatError(f"{source}: label byte {labels[bad[0]]} > 9 at byte offset {off}")
     images = raw[:, 1:].reshape(n, 3, 32, 32).copy()
-    return Dataset(images=images, labels=labels.copy(), name="cifar10", split="")
+    return Dataset(images=images, labels=labels.copy(), split="")
 
 
 def load_cifar10(path: str, split: str = "train") -> Dataset:
@@ -82,7 +81,6 @@ def load_cifar10(path: str, split: str = "train") -> Dataset:
     ds = Dataset(
         images=np.concatenate([p.images for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
-        name="cifar10",
         split=split,
     )
     return ds
@@ -130,7 +128,7 @@ def subset(ds: Dataset, n_per_class: int, seed: int) -> Dataset:
             raise NumericsError(f"class {c} has only {len(idx)} samples, need {n_per_class}")
         picks.append(rng.choice(idx, size=n_per_class, replace=False))
     order = np.sort(np.concatenate(picks))
-    return Dataset(images=ds.images[order], labels=ds.labels[order], name=ds.name, split=ds.split)
+    return Dataset(images=ds.images[order], labels=ds.labels[order], split=ds.split)
 
 
 def batch_indices(n: int, batch_size: int, rng, drop_last: bool = True):
@@ -183,6 +181,17 @@ def harmonic_spectrum(n: int) -> np.ndarray:
     return 1.0 / np.arange(1, n + 1, dtype=np.float64)
 
 
+def _sample_images(n_per_class: int, rng, draw, split: str) -> Dataset:
+    """n_per_class images of each class in turn, draw(c) giving one image of
+    class c in [0, 1] units before clipping, then shuffled by rng."""
+    images = np.empty((N_CLASSES * n_per_class, 3, SIZE, SIZE), dtype=np.uint8)
+    labels = np.repeat(np.arange(N_CLASSES, dtype=np.int64), n_per_class)
+    for i, c in enumerate(labels):
+        images[i] = np.clip(draw(c) * 255.0, 0, 255).astype(np.uint8)
+    order = rng.permutation(len(labels))
+    return Dataset(images=images[order], labels=labels[order], split=split)
+
+
 def make_synthetic_images(n_per_class: int, seed: int, noise: float = 0.35,
                           split: str = "train") -> Dataset:
     """Class-structured synthetic image set in CIFAR-10 shape.
@@ -206,27 +215,20 @@ def make_synthetic_images(n_per_class: int, seed: int, noise: float = 0.35,
                 )
         t = (t - t.min()) / (t.max() - t.min())
         templates.append(t)
-    images = np.empty((N_CLASSES * n_per_class, 3, SIZE, SIZE), dtype=np.uint8)
-    labels = np.empty(N_CLASSES * n_per_class, dtype=np.int64)
-    i = 0
-    for c in range(N_CLASSES):
-        for _ in range(n_per_class):
-            gain = rng.uniform(0.6, 1.0)
-            shift = rng.uniform(-0.1, 0.1)
-            img = gain * templates[c] + shift + noise * rng.standard_normal((3, SIZE, SIZE))
-            images[i] = np.clip(img * 255.0, 0, 255).astype(np.uint8)
-            labels[i] = c
-            i += 1
-    order = rng.permutation(len(labels))
-    return Dataset(images=images[order], labels=labels[order], name="synthetic", split=split)
+
+    def draw(c):
+        gain = rng.uniform(0.6, 1.0)
+        shift = rng.uniform(-0.1, 0.1)
+        return gain * templates[c] + shift + noise * rng.standard_normal((3, SIZE, SIZE))
+
+    return _sample_images(n_per_class, rng, draw, split)
 
 
 def make_texture_images(n_per_class: int, seed: int, noise: float = 0.3,
-                        template_amp: float = 0.0, split: str = "train") -> Dataset:
+                        split: str = "train") -> Dataset:
     """Texture-class synthetic image set: each class is an oriented
     frequency band drawn from the fixed seed 0, samples are band-filtered
-    white noise at contrast 0.12 plus optional smooth class template and
-    iid pixel noise.
+    white noise at contrast 0.12 plus iid pixel noise.
 
     Class information lives in second-order statistics, so a linear readout
     of raw pixels is near chance; this is the harder surrogate used by the
@@ -239,34 +241,20 @@ def make_texture_images(n_per_class: int, seed: int, noise: float = 0.3,
     rad = np.hypot(fy, fx)
     theta = np.arctan2(fy, fx)
     masks = []
-    templates = []
-    yy, xx = np.meshgrid(np.linspace(0, 1, SIZE), np.linspace(0, 1, SIZE), indexing="ij")
     for _ in range(N_CLASSES):
         ang = trng.uniform(0, np.pi)
         f0 = trng.uniform(0.08, 0.35)
         bw = trng.uniform(0.03, 0.08)
         d = np.minimum(np.abs(((theta - ang + np.pi / 2) % np.pi) - np.pi / 2), np.pi)
         masks.append(np.exp(-((rad - f0) ** 2) / (2 * bw ** 2)) * np.exp(-(d ** 2) / (2 * 0.3 ** 2)))
-        t = np.zeros((3, SIZE, SIZE))
-        for c in range(3):
-            fxy = trng.uniform(0.5, 2.5, size=2)
-            ph = trng.uniform(0, 2 * np.pi, size=2)
-            t[c] = np.sin(2 * np.pi * fxy[0] * xx + ph[0]) * np.sin(2 * np.pi * fxy[1] * yy + ph[1])
-        templates.append(t)
-    images = np.empty((N_CLASSES * n_per_class, 3, SIZE, SIZE), dtype=np.uint8)
-    labels = np.empty(N_CLASSES * n_per_class, dtype=np.int64)
-    i = 0
-    for c in range(N_CLASSES):
-        for _ in range(n_per_class):
-            img = np.empty((3, SIZE, SIZE))
-            for ch in range(3):
-                w = rng.standard_normal((SIZE, SIZE))
-                t = np.fft.ifft2(np.fft.fft2(w) * masks[c]).real
-                img[ch] = t / (t.std() + 1e-9)
-            img = 0.5 + 0.12 * img + template_amp * templates[c] \
-                + noise * rng.standard_normal((3, SIZE, SIZE))
-            images[i] = np.clip(img * 255.0, 0, 255).astype(np.uint8)
-            labels[i] = c
-            i += 1
-    order = rng.permutation(len(labels))
-    return Dataset(images=images[order], labels=labels[order], name="texture", split=split)
+        trng.random(12)  # unused draws: skipping them would change every later mask
+
+    def draw(c):
+        img = np.empty((3, SIZE, SIZE))
+        for ch in range(3):
+            w = rng.standard_normal((SIZE, SIZE))
+            t = np.fft.ifft2(np.fft.fft2(w) * masks[c]).real
+            img[ch] = t / (t.std() + 1e-9)
+        return 0.5 + 0.12 * img + noise * rng.standard_normal((3, SIZE, SIZE))
+
+    return _sample_images(n_per_class, rng, draw, split)

@@ -309,6 +309,24 @@ def _aux_forward(phi: AuxBlock, yp):
     return z, (conv_caches, g)
 
 
+def _aux_backward(phi: AuxBlock, cache, dz, hw: int):
+    """Reverse pass of _aux_forward for dL/dZ = dz over images of hw rows
+    each; returns (grads keyed as in phi.params(), gradient of the input
+    rows)."""
+    conv_caches, g = cache
+    grads = {"fc_w": g.T @ dz, "fc_b": dz.sum(axis=0)}
+    # pooling backward: each image's gradient spread over its hw rows
+    d_rows = np.repeat(dz @ phi.fc_w.T / hw, hw, axis=0)
+    for i in range(len(conv_caches) - 1, -1, -1):
+        rows, da = conv_caches[i]
+        k = phi.conv_kernels[i]
+        d_pre = d_rows * da
+        grads[f"conv{i}_kernel"] = (d_pre.T @ rows).reshape(k.shape)
+        grads[f"conv{i}_bias"] = d_pre.sum(axis=0)
+        d_rows = d_pre @ k.reshape(k.shape[0], -1)
+    return grads, d_rows
+
+
 def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
                    use_oja: bool = False):
     """Compute the block-local loss on (Z, flattened input) and reverse-mode
@@ -327,30 +345,17 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
                 f"orthogonality loss on full-width features ({z.shape[1]} dims) "
                 "requires the auxiliary projection; memory constraint"
             )
-        aux_cache = None
     else:
         z, aux_cache = _aux_forward(phi, yp)
 
     bundle, dz = structural_grads(z, input_gram(flatten(x)), lam, use_sphere=use_sphere,
                                   use_oja=use_oja)
-    grads = {}
-
     if phi is None:
-        d_yp = dz.reshape(yp.shape)
+        grads, d_yp = {}, dz.reshape(yp.shape)
     else:
-        conv_caches, g = aux_cache
-        grads["aux.fc_w"] = g.T @ dz
-        grads["aux.fc_b"] = dz.sum(axis=0)
         b, c, h, w = yp.shape
-        # pooling backward: each image's gradient spread over its H*W rows
-        d_rows = np.repeat(dz @ phi.fc_w.T / (h * w), h * w, axis=0)
-        for i in range(len(conv_caches) - 1, -1, -1):
-            rows, da = conv_caches[i]
-            k = phi.conv_kernels[i]
-            d_pre = d_rows * da
-            grads[f"aux.conv{i}_kernel"] = (d_pre.T @ rows).reshape(k.shape)
-            grads[f"aux.conv{i}_bias"] = d_pre.sum(axis=0)
-            d_rows = d_pre @ k.reshape(k.shape[0], -1)
+        aux_grads, d_rows = _aux_backward(phi, aux_cache, dz, h * w)
+        grads = {f"aux.{k}": v for k, v in aux_grads.items()}
         d_yp = d_rows.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
     # skip path (if any) is detached: d_yp passes to the pooled main path only

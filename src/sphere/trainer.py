@@ -72,9 +72,7 @@ class AdamW:
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
-    """Cosine annealing from base_lr to 0 over total_steps."""
-    if total_steps <= 0:
-        return base_lr
+    """Cosine annealing from base_lr to 0 over total_steps (>= 1)."""
     frac = min(max(step / total_steps, 0.0), 1.0)
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * frac))
 
@@ -341,43 +339,10 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
 # linear-vs-nonlinear branch study
 
 
-def _mlp_init(sizes, rng):
-    layers = []
-    for i in range(len(sizes) - 1):
-        fan_in = sizes[i]
-        w = rng.standard_normal((sizes[i], sizes[i + 1])) / math.sqrt(fan_in)
-        layers.append({"w": w, "b": np.zeros(sizes[i + 1])})
-    return layers
-
-
-def _mlp_forward(layers, x):
-    caches = []
-    h = x
-    for i, lay in enumerate(layers):
-        pre = h @ lay["w"] + lay["b"]
-        if i < len(layers) - 1:
-            out, d = net.activation("tanh", pre)
-        else:
-            out, d = pre, np.ones_like(pre)
-        caches.append((h, d))
-        h = out
-    return h, caches
-
-
-def _mlp_backward(layers, caches, dz):
-    grads = []
-    g = dz
-    for i in range(len(layers) - 1, -1, -1):
-        h, d = caches[i]
-        g = g * d
-        grads.append({"w": h.T @ g, "b": g.sum(axis=0)})
-        g = g @ layers[i]["w"].T
-    return list(reversed(grads))
-
-
 def run_linearity_study(epochs: int = 30, seed: int = 0):
-    """Train a linear branch (64 -> 40) and a 3-layer tanh branch
-    (64 -> 128 -> 128 -> 40) on the same 256 x 64 harmonic-spectrum input
+    """Train a linear branch (64 -> 40) and a nonlinear branch, an AuxBlock
+    with two tanh 1x1 convs (64 -> 128 -> 128) and fc 128 -> 40 run on the
+    input as 1x1 images, on the same 256 x 64 harmonic-spectrum input
     under the raw structural-matching loss; log CKA between their outputs
     per epoch and the final alignment of the top 36 SVD components
     (computed in sample space, where the two branches are comparable).
@@ -391,16 +356,21 @@ def run_linearity_study(epochs: int = 30, seed: int = 0):
 
     lin = {"w": rng.standard_normal((n, m)) / math.sqrt(n)}
     lin_opt = AdamW(lin, lr=2e-2)
-    nl_layers = _mlp_init([n, 128, 128, m], rng)
-    nl_params = {f"{i}.{k}": v for i, lay in enumerate(nl_layers) for k, v in lay.items()}
-    nl_opt = AdamW(nl_params, lr=3e-3)
+    w0, w1, w2 = (rng.standard_normal((i, o)) / math.sqrt(i)
+                  for i, o in ((n, 128), (128, 128), (128, m)))
+    # the 1x1 kernels are (O, C, 1, 1) views of the (C, O) weights
+    phi = net.AuxBlock(conv_kernels=[w0.T[..., None, None], w1.T[..., None, None]],
+                       conv_biases=[np.zeros(128), np.zeros(128)],
+                       fc_w=w2, fc_b=np.zeros(m), activation="tanh")
+    nl_opt = AdamW(phi.params(), lr=3e-3)
+    x_img = x[:, :, None, None]
 
     kx = input_gram(x, normalize=False)
     cka_curve = []
     steps_per_epoch = 40
     for epoch in range(epochs + 1):
         z_lin = x @ lin["w"]
-        z_nl, _ = _mlp_forward(nl_layers, x)
+        z_nl, _ = net._aux_forward(phi, x_img)
         cka_curve.append(cka(z_lin, z_nl))
         if epoch == epochs:
             break
@@ -409,14 +379,13 @@ def run_linearity_study(epochs: int = 30, seed: int = 0):
             _, dz_lin = structural_grads(x @ lin["w"], kx, normalize=False)
             lin_opt.step({"w": x.T @ dz_lin},
                          lr=cosine_lr(step, epochs * steps_per_epoch, 2e-2))
-            z, caches = _mlp_forward(nl_layers, x)
+            z, cache = net._aux_forward(phi, x_img)
             _, dz = structural_grads(z, kx, normalize=False)
-            gs = _mlp_backward(nl_layers, caches, dz)
-            nl_opt.step({f"{i}.{k}": v for i, g in enumerate(gs) for k, v in g.items()},
+            nl_opt.step(net._aux_backward(phi, cache, dz, 1)[0],
                         lr=cosine_lr(step, epochs * steps_per_epoch, 3e-3))
 
     z_lin = x @ lin["w"]
-    z_nl, _ = _mlp_forward(nl_layers, x)
+    z_nl, _ = net._aux_forward(phi, x_img)
     align = svd_alignment(z_lin.T, z_nl.T, k=36)
     return cka_curve, align
 

@@ -1,7 +1,7 @@
 """Acceptance suite: the headline quantitative properties, one test per
 criterion, each printing a single PASS/FAIL line.
 
-Criterion 6 retrains blocks repeatedly and takes about 160 s on a 2-core
+Criterion 6 retrains blocks repeatedly and takes about 150 s on a 2-core
 machine with OpenBLAS; everything else finishes in about 30 s total.  When
 SPHERE_DATA_DIR points at a real CIFAR-10 binary layout, criteria 6 and 8
 use it; otherwise they run on the synthetic generators (same formats,
@@ -147,7 +147,8 @@ def test_criterion_4_oja_fixed_point():
 
 
 def test_criterion_5_linearity_study():
-    """Linear and 3-layer nonlinear branches converge to similar reps."""
+    """A linear branch and a 3-layer tanh branch, an AuxBlock on 1x1 images,
+    converge to similar representations."""
     curve, align = run_linearity_study(seed=0, epochs=25)
     cka20 = curve[min(20, len(curve) - 1)]
     diag = float(np.mean(np.diag(align)[:20]))

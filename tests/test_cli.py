@@ -178,6 +178,24 @@ class TestArtifacts:
         assert flags[0] in record["message"]
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["linearity", "--epochs", "0"], ["linearity", "--epochs", "-1"],
+        ["knn", "--k", "0"], ["knn", "--k", "21"],  # TINY trains on 20 images
+    ], ids=" ".join)
+    def test_invalid_flag_refused_before_work(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        for name in ("train_greedy", "run_linearity_study"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: calls.append(name))
+        out = tmp_path / "r"
+        assert main(["--out", str(out), *TINY, *argv]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert argv[1] in record["message"]
+        assert not (out / "summary.json").exists()
+        assert calls == []
+
     def test_refused_orth_without_phi_exit_code(self, tmp_path, capsys):
         # default widths: block 0's flattened output is 48 * 16 * 16 = 12288 wide
         out = tmp_path / "r"

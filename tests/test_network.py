@@ -326,21 +326,26 @@ class TestPoolOrder:
         assert np.array_equal(y, net.activation(kind, x)[0])
 
 
+FD_ROWS = [
+    ("leaky_relu", 1, False, 8),
+    ("leaky_relu", 2, True, 8),
+    ("tanh", 0, False, 8),
+    ("relu", 1, False, 8),
+    ("sigmoid", 1, True, 8),
+    ("leaky_relu", None, False, 8),  # no head: orth on the flattened output
+    ("tanh", 2, False, 2),  # 1x1 pooled map: the head's shape in the linearity study
+]
+
+
 class TestBlockBackward:
-    @pytest.mark.parametrize("activation,depth,use_skip", [
-        ("leaky_relu", 1, False),
-        ("leaky_relu", 2, True),
-        ("tanh", 0, False),
-        ("relu", 1, False),
-        ("sigmoid", 1, True),
-        ("leaky_relu", None, False),  # no head: orth on the flattened output
-    ])
-    def test_fd_all_params(self, activation, depth, use_skip):
+    @pytest.mark.parametrize("activation,depth,use_skip,side", FD_ROWS, ids=[
+        f"{a}-{d}-{s}" + ("" if side == 8 else f"-{side}x{side}") for a, d, s, side in FD_ROWS])
+    def test_fd_all_params(self, activation, depth, use_skip, side):
         rng = np.random.default_rng(3)
         f = net.init_main_block(3, 8, rng, activation=activation, use_skip=use_skip)
         phi = None if depth is None else net.init_aux_block(
             8, d_proj=12, depth=depth, rng=rng, activation=activation)
-        x = rng.standard_normal((5, 3, 8, 8))
+        x = rng.standard_normal((5, 3, side, side))
         grads, _ = net.block_backward(f, phi, x, lam=0.8)
         params = net.block_params(f, phi)
         h = 1e-5
