@@ -45,7 +45,7 @@ SUMMARY_SCHEMA = 1
 
 
 class ConfigError(ValueError):
-    """Unparseable or unknown configuration input."""
+    """Unparseable, unknown or out-of-range configuration input."""
 
 
 # every accepted key with its parser; unknown keys are rejected
@@ -236,11 +236,27 @@ def load_datasets(cfg: dict):
             make(ntest, seed=seed + 1, noise=cfg["data.noise"], split="test"))
 
 
+def check_data_fits(cfg: dict, dtype) -> None:
+    """Refuse, before any image is made, a run whose image arrays alone
+    outgrow physical memory: the uint8 and to_float arrays of both splits
+    and channel_stats' float64 copy of the train split."""
+    n_train, n_test = (cfg[k] * datamod.N_CLASSES for k in ("data.n_per_class",
+                                                             "data.n_test_per_class"))
+    need = 3 * datamod.SIZE ** 2 * ((n_train + n_test) * (1 + np.dtype(dtype).itemsize)
+                                    + 8 * n_train)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"data.n_per_class and data.n_test_per_class: the image arrays need "
+                          f"{need / 2 ** 30:.1f} GiB, more than the {have / 2 ** 30:.1f} GiB "
+                          f"of physical memory")
+
+
 def config_and_data(cfg: dict, seed: int):
     """(TrainConfig, xtr, ytr, xte, yte): the run's training config and its
     datasets standardized by the train split's channel stats, in the
     config's dtype."""
     config = train_config_from(cfg, seed=seed)
+    check_data_fits(cfg, config.np_dtype)
     tr, te = load_datasets(cfg)
     mean, std = datamod.channel_stats(tr)
     return (config, datamod.to_float(tr, mean, std, config.np_dtype), tr.labels,
@@ -326,13 +342,15 @@ def cmd_gradcheck(args, cfg):
 def cmd_train(args, cfg):
     config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
     t0 = time.time()
-    blocks, records = train_greedy(config, xtr)
+    stage = []
+    blocks, records = train_greedy(config, xtr, last_input=stage)
     checksum = blocks_checksum(blocks)
     write_metrics(args.out, records)
     payload = {"command": "train", "param_checksum": checksum,
                "final_total": records[-1]["total"], "n_train": len(ytr)}
     if args.probe:
-        tr_acc, te_acc = probe_blocks(config, blocks, xtr, ytr, xte, yte, cfg["probe.epochs"])
+        tr_acc, te_acc = probe_blocks(config, blocks, xtr, ytr, xte, yte, cfg["probe.epochs"],
+                                      train_stage=stage[0])
         payload.update(train_acc=tr_acc, test_acc=te_acc)
         print(f"probe train {tr_acc:.3f}  test {te_acc:.3f}")
     write_summary(args.out, payload)
@@ -344,8 +362,9 @@ def cmd_knn(args, cfg):
     config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
     if not 1 <= args.k <= len(ytr):
         raise ConfigError(f"--k must be in [1, {len(ytr)}] (the training images), got {args.k}")
-    blocks, _ = train_greedy(config, xtr)
-    acc = knn_eval(features(blocks, xtr), ytr, features(blocks, xte), yte, k=args.k)
+    stage = []
+    blocks, _ = train_greedy(config, xtr, last_input=stage)
+    acc = knn_eval(features(blocks[-1:], stage[0]), ytr, features(blocks, xte), yte, k=args.k)
     write_summary(args.out, {"command": "knn", "k": args.k, "test_acc": acc})
     print(f"knn@{args.k} {acc:.3f}")
     return 0

@@ -189,12 +189,14 @@ def _forward(blocks, x):
     return np.concatenate(outs)
 
 
-def train_greedy(config: TrainConfig, images: np.ndarray):
+def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
     """Train blocks strictly in sequence, each against its own local loss.
 
     `images` is a normalized float array (n, C, H, W) whose sides each
     block's 2x2 max-pool can halve.  Returns (blocks, records) where
-    records holds one metrics dict per (block, epoch).
+    records holds one metrics dict per (block, epoch).  A `last_input`
+    list gets the last block's stage input appended, so that a probe can
+    run only the last block over `images`.
     """
     feats = np.asarray(images, dtype=config.np_dtype)
     depth = len(config.channels)
@@ -241,6 +243,8 @@ def train_greedy(config: TrainConfig, images: np.ndarray):
                 "lr": cosine_lr(step, total_steps, config.lr),
                 "wall_ms": (time.monotonic() - t0) * 1e3,
             })
+    if last_input is not None:
+        last_input.append(feats)
     return blocks, records
 
 
@@ -409,12 +413,16 @@ def combo_name(flags: dict) -> str:
 
 
 def probe_blocks(config: TrainConfig, blocks, train_images, train_labels, test_images,
-                 test_labels, probe_epochs: int = 20):
+                 test_labels, probe_epochs: int = 20, *, train_stage=None):
     """Linear probe on the frozen features of trained `blocks`; returns
-    (train_acc, test_acc).  Raises FrozenBlocksMutatedError if the blocks'
-    parameters changed meanwhile."""
+    (train_acc, test_acc).  A `train_stage` from train_greedy's `last_input`
+    stands in for blocks 0..L-2 on `train_images`.  Raises
+    FrozenBlocksMutatedError if any block's parameters changed meanwhile."""
     before = blocks_checksum(blocks)
-    ftr = features(blocks, np.asarray(train_images, dtype=config.np_dtype))
+    if train_stage is None:
+        ftr = features(blocks, np.asarray(train_images, dtype=config.np_dtype))
+    else:
+        ftr = features(blocks[-1:], train_stage)
     fte = features(blocks, np.asarray(test_images, dtype=config.np_dtype))
     accs = train_probe(ftr, train_labels, fte, test_labels, epochs=probe_epochs,
                        seed=config.seed)
@@ -425,11 +433,12 @@ def probe_blocks(config: TrainConfig, blocks, train_images, train_labels, test_i
 
 def evaluate_config(config: TrainConfig, train_images, train_labels, test_images, test_labels,
                     probe_epochs: int = 20):
-    """Train blocks unsupervised, then probe on frozen features; returns
-    {"train_acc", "test_acc"}."""
-    blocks, _ = train_greedy(config, train_images)
+    """Train blocks unsupervised, then probe on frozen features, with the
+    training stage input handed over; returns {"train_acc", "test_acc"}."""
+    stage = []
+    blocks, _ = train_greedy(config, train_images, last_input=stage)
     tr_acc, te_acc = probe_blocks(config, blocks, train_images, train_labels, test_images,
-                                  test_labels, probe_epochs)
+                                  test_labels, probe_epochs, train_stage=stage[0])
     return {"train_acc": tr_acc, "test_acc": te_acc}
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sphere import cli, trainer
+from sphere import data as datamod
 from sphere.cli import (ConfigError, DEFAULT_CONFIG, load_config, main,
                         parse_config_text, train_config_from, write_summary)
 from sphere.trainer import TrainConfig
@@ -153,10 +154,14 @@ class TestArtifacts:
         "data.dataset=bogus", "train.lr=-1", "train.lr=0", "train.lr=inf",
         "train.weight_decay=-5", "train.lam=nan", "probe.epochs=0", "data.noise=-1",
         "data.seed=-1", "train.seed=-1", "--seed=-1", "train.channels=2,2,2,2,2,2",
-        "--out=/dev/null",
+        "--out=/dev/null", "data.n_per_class=1000000000",
     ])
-    def test_invalid_value_exit_code(self, tmp_path, capsys, setting):
+    def test_invalid_value_exit_code(self, tmp_path, capsys, monkeypatch, setting):
         out = tmp_path / "r"
+        if setting == "data.n_per_class=1000000000":  # refused before any image is made
+            def generate(*args, **kwargs):
+                raise AssertionError("images generated for a run that cannot fit in memory")
+            monkeypatch.setattr(datamod, "make_synthetic_images", generate)
         flags = [setting] if setting.startswith("--") else ["--set", setting]
         assert main(["--out", str(out), *TINY, *flags, "train"]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
@@ -209,7 +214,7 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("error", [trainer.TrainingDivergedError, trainer.OptimizerError])
     def test_training_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
-        def diverge(config, images):
+        def diverge(config, images, **kwargs):
             raise error("non-finite")
         monkeypatch.setattr(cli, "train_greedy", diverge)
         out = tmp_path / "r"
@@ -222,8 +227,8 @@ class TestArtifacts:
         trained = []
         train_greedy, train_probe = cli.train_greedy, trainer.train_probe
 
-        def recording_greedy(config, images):
-            trained.append(train_greedy(config, images))
+        def recording_greedy(config, images, **kwargs):
+            trained.append(train_greedy(config, images, **kwargs))
             return trained[-1]
 
         def mutating_probe(*args, **kwargs):
@@ -301,6 +306,17 @@ def test_command_smoke(tmp_path, command):
     assert summary["command"] == command
     assert set(summary) == {"schema", "command"} | keys
     assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("argv", [["train", "--probe"], ["knn", "--k", "1"]], ids=" ".join)
+def test_training_images_forwarded_once_per_block(tmp_path, forward_counts, argv):
+    # TINY makes 20 training and 10 test images; blocks 0..L-2 build block
+    # L-1's stage input in training, and the evaluation runs only block L-1
+    # over the training images
+    assert main(["--out", str(tmp_path / "r"), *TINY, "--set", "train.channels=4,8,8",
+                 *argv]) == 0
+    assert forward_counts.per_block("train") == [20, 20, 0]
+    assert forward_counts.per_block("eval") == [10, 10, 30]
 
 
 @pytest.mark.parametrize("command", ["ablate", "transfer"])

@@ -149,31 +149,31 @@ class TestTrainGreedy:
             opt.step(grads)
         assert param_checksum(net.block_params(*blocks[0])) == sum_before
 
-    def test_each_stage_input_forwarded_once(self, monkeypatch):
+    def test_each_stage_input_forwarded_once(self, forward_counts):
         # outside block_backward, blocks 0..L-2 each run once over the
         # training images (300 > one 256-image chunk) and block L-1 never
         x, _ = tiny_dataset(n_per_class=30)
-        images = {}
-        inside = []
-        main_forward, block_backward = net._main_forward, net.block_backward
-
-        def counting_forward(f, h, *args, **kwargs):
-            if not inside:
-                images[id(f)] = images.get(id(f), 0) + len(h)
-            return main_forward(f, h, *args, **kwargs)
-
-        def marked_backward(*args, **kwargs):
-            inside.append(True)
-            try:
-                return block_backward(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(net, "_main_forward", counting_forward)
-        monkeypatch.setattr(net, "block_backward", marked_backward)
         cfg = TrainConfig(seed=0, channels=(4, 8, 8), epochs=3, batch_size=64, d_proj=8)
-        blocks, _ = train_greedy(cfg, x)
-        assert [images.get(id(f), 0) for f, _ in blocks] == [len(x), len(x), 0]
+        trainer.train_greedy(cfg, x)
+        assert forward_counts.per_block("train") == [len(x), len(x), 0]
+        assert forward_counts.per_block("eval") == [0, 0, 0]
+
+    @pytest.mark.parametrize("dtype, channels", [("float32", (4, 8, 8)), ("float64", (4, 8, 8)),
+                                                 ("float64", (4,))])
+    def test_last_input_is_the_last_stage(self, dtype, channels):
+        # the handed-out array is blocks 0..L-2 on the images, bit for bit,
+        # and the last block on it gives the features of the whole stack;
+        # 300 images cross _forward's 256-image chunk
+        x, _ = tiny_dataset(n_per_class=30)
+        x = x.astype(dtype)
+        cfg = TrainConfig(seed=0, channels=channels, epochs=len(channels), batch_size=64,
+                          d_proj=8, dtype=dtype)
+        stage = []
+        blocks, _ = train_greedy(cfg, x, last_input=stage)
+        assert len(stage) == 1
+        assert stage[0].dtype == cfg.np_dtype
+        assert np.array_equal(stage[0], trainer._forward(blocks[:-1], x))
+        assert np.array_equal(features(blocks[-1:], stage[0]), features(blocks, x))
 
     def test_unhalvable_image_size_refused_before_training(self, monkeypatch):
         # six 2x2 max-pools need sides divisible by 64; 32x32 images allow five
@@ -225,6 +225,15 @@ class TestEvaluateConfig:
         res = evaluate_config(TrainConfig(seed=0, **SMALL), x, y, x[:10], y[:10],
                               probe_epochs=1)
         assert set(res) == {"train_acc", "test_acc"}
+
+    def test_training_images_forwarded_once_per_block(self, forward_counts):
+        # blocks 0..L-2 build block L-1's stage input in training, and the
+        # probe runs only block L-1 over the training images
+        x, y = tiny_dataset(n_per_class=2)
+        evaluate_config(TrainConfig(seed=0, channels=(4, 8, 8), epochs=3, batch_size=8,
+                                    d_proj=8), x, y, x[:10], y[:10], probe_epochs=1)
+        assert forward_counts.per_block("train") == [len(x), len(x), 0]
+        assert forward_counts.per_block("eval") == [10, 10, len(x) + 10]
 
     def test_mutated_blocks_raise(self, monkeypatch):
         x, y = tiny_dataset(n_per_class=4)
