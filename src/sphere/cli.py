@@ -3,19 +3,20 @@
 Config files are flat ``key = value`` text with ``[section]`` headers;
 command-line ``--set section.key=value`` overrides win over file values.
 The ``train.*`` keys are the fields of ``trainer.TrainConfig``, parsed by
-the type of each field's default.  ``data.dataset`` is synthetic, texture
-or cifar10.  ``probe.epochs`` is the linear probe's epoch count for
-``train --probe``, ``ablate`` and ``transfer``.
-Every run writes three artifacts into the output directory:
+the type of each field's default; SETTINGS declares the ``data.*`` and
+``probe.*`` keys.  ``data.dataset=cifar10`` reads the binary layout from
+the directory that ``data.dir``, else SPHERE_DATA_DIR, names; synthetic
+and texture are generated and never read ``data.dir``.
+A run that passes its checks writes three artifacts into the output directory:
 
   manifest.txt   resolved config, code version, seed (identity of the run)
   metrics.jsonl  one JSON record per (block, epoch) during training
   summary.json   final results; schema-versioned, no timestamps, so two
                  runs with identical manifests are byte-identical (64-bit)
 
-Dataset location comes from ``data.dir``, falling back to the
-SPHERE_DATA_DIR environment variable; when neither points at a CIFAR-10
-binary layout, the synthetic generators are used instead.
+A refused run (a bad command line, an unreadable config file, an
+out-of-range value, an impossible allocation, cifar10 without its layout
+directory) writes none of them: it prints a one-line JSON error and exits 2.
 """
 
 import argparse
@@ -35,7 +36,7 @@ from . import network as net
 from .linalg import NumericsError, svd
 from .losses import sphere_grad_linear, sphere_loss
 from .oracle import principal_projection
-from .plasticity import RuleState, oja_step
+from .plasticity import oja_step
 from .trainer import (FrozenBlocksMutatedError, OptimizerError, TrainConfig,
                       TrainingDivergedError, blocks_checksum, features, knn_eval, probe_blocks,
                       run_ablation, run_linearity_study, run_transfer, train_greedy,
@@ -48,7 +49,6 @@ class ConfigError(ValueError):
     """Unparseable, unknown or out-of-range configuration input."""
 
 
-# every accepted key with its parser; unknown keys are rejected
 def _int_tuple(s):
     return tuple(int(v) for v in s.replace("(", "").replace(")", "").split(",") if v.strip())
 
@@ -63,42 +63,39 @@ def _bool(s):
 
 _PARSERS = {tuple: _int_tuple, bool: _bool, int: int, float: float, str: str}
 
-CONFIG_SCHEMA = {
-    **{f"train.{f.name}": _PARSERS[type(f.default)] for f in fields(TrainConfig)},
-    "data.dir": str,
-    "data.dataset": str,
-    "data.n_per_class": int,
-    "data.n_test_per_class": int,
-    "data.noise": float,
-    "data.seed": int,
-    "probe.epochs": int,
+# every data and probe key but data.dir (unset until given, any path): its
+# default, and its lowest accepted value or its allowed choices
+SETTINGS = {
+    "data.dataset": ("synthetic", ("synthetic", "texture", "cifar10")),
+    "data.n_per_class": (500, 1),
+    "data.n_test_per_class": (100, 1),
+    "data.noise": (2.2, 0),
+    "data.seed": (100, 0),
+    "probe.epochs": (20, 1),
 }
 
-DEFAULT_CONFIG = {
-    "data.dataset": "synthetic",
-    "data.n_per_class": 500,
-    "data.n_test_per_class": 100,
-    "data.noise": 2.2,
-    "data.seed": 100,
-    "probe.epochs": 20,
-}
-
-DATASETS = ("synthetic", "texture", "cifar10")
-
-# lowest accepted value of each bounded key outside TrainConfig's own checks
-MINIMUM = {"data.n_per_class": 1, "data.n_test_per_class": 1, "data.noise": 0,
-           "data.seed": 0, "train.seed": 0, "probe.epochs": 1}
+# every accepted key with its parser; unknown keys are rejected
+CONFIG_SCHEMA = {**{f"train.{f.name}": _PARSERS[type(f.default)] for f in fields(TrainConfig)},
+                 "data.dir": str,
+                 **{key: _PARSERS[type(default)] for key, (default, _) in SETTINGS.items()}}
 
 
 def _parse_value(cfg: dict, key: str, val: str, key_at: str, val_at: str) -> None:
-    """Store CONFIG_SCHEMA[key](val) in cfg; `key_at` and `val_at` prefix the
-    errors with the position of the key and of the value."""
+    """Store CONFIG_SCHEMA[key](val) in cfg if it is within the key's
+    SETTINGS bound; `key_at` and `val_at` prefix the errors with the
+    position of the key and of the value."""
     if key not in CONFIG_SCHEMA:
         raise ConfigError(f"{key_at}: unknown key {key!r}")
     try:
-        cfg[key] = CONFIG_SCHEMA[key](val.strip())
+        value = CONFIG_SCHEMA[key](val.strip())
     except ValueError as exc:
         raise ConfigError(f"{val_at}: bad value for {key}: {exc}") from exc
+    bound = SETTINGS[key][1] if key in SETTINGS else None
+    if isinstance(bound, tuple) and value not in bound:
+        raise ConfigError(f"{val_at}: {key} must be one of {', '.join(bound)}, got {value!r}")
+    if isinstance(bound, (int, float)) and not (math.isfinite(value) and value >= bound):
+        raise ConfigError(f"{val_at}: {key} must be finite and >= {bound}, got {value}")
+    cfg[key] = value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -128,23 +125,19 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path, overrides):
-    cfg = dict(DEFAULT_CONFIG)
+    cfg = {key: default for key, (default, _) in SETTINGS.items()}
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"{path}: config file not found")
-        with open(path) as fh:
-            cfg.update(parse_config_text(fh.read(), source=path))
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config {path}: cannot read the file: {exc}") from exc
+        cfg.update(parse_config_text(text, source=path))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected section.key=value")
         key, _, val = item.partition("=")
         _parse_value(cfg, key.strip(), val, "override", f"override {item!r}")
-    for key, low in MINIMUM.items():
-        if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] >= low):
-            raise ConfigError(f"{key} must be finite and >= {low}, got {cfg[key]}")
-    if cfg["data.dataset"] not in DATASETS:
-        raise ConfigError(f"data.dataset must be one of {', '.join(DATASETS)}, "
-                          f"got {cfg['data.dataset']!r}")
     return cfg
 
 
@@ -185,7 +178,6 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def write_manifest(outdir: str, cfg: dict, seed: int, command: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
     lines = [f"command = {command}", f"seed = {seed}", f"version = {_git_describe()}"]
     lines += [f"{k} = {cfg[k]}" for k in sorted(cfg)]
     _write_atomic(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
@@ -204,32 +196,22 @@ def write_metrics(outdir: str, records) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dataset resolution
-
-
-def resolve_data_dir(cfg: dict):
-    path = cfg.get("data.dir") or os.environ.get("SPHERE_DATA_DIR")
-    if path and os.path.isdir(path):
-        names = set(os.listdir(path))
-        if names & (set(datamod.CIFAR_TRAIN_FILES) | set(datamod.CIFAR_TEST_FILES)):
-            return path
-    if cfg.get("data.dir"):
-        raise ConfigError(
-            f"data.dir={cfg['data.dir']}: expected CIFAR-10 binary layout "
-            "(data_batch_1.bin .. data_batch_5.bin, test_batch.bin)")
-    return None
+# datasets
 
 
 def load_datasets(cfg: dict):
-    """(train Dataset, test Dataset) from disk or a synthetic generator."""
+    """(train Dataset, test Dataset): CIFAR-10 from the directory that
+    data.dir, else SPHERE_DATA_DIR, names, or a synthetic generator's."""
     npc = cfg["data.n_per_class"]
     ntest = cfg["data.n_test_per_class"]
     seed = cfg["data.seed"]
-    path = resolve_data_dir(cfg)
-    if path and cfg["data.dataset"] == "cifar10":
-        tr = datamod.subset(datamod.load_cifar10(path, "train"), npc, seed)
-        te = datamod.subset(datamod.load_cifar10(path, "test"), ntest, seed)
-        return tr, te
+    if cfg["data.dataset"] == "cifar10":
+        path = cfg.get("data.dir") or os.environ.get("SPHERE_DATA_DIR")
+        if not (path and os.path.isdir(path)):
+            raise ConfigError(f"data.dataset=cifar10: data.dir, else SPHERE_DATA_DIR, must name "
+                              f"the directory of the CIFAR-10 binary layout, got {path!r}")
+        return (datamod.subset(datamod.load_cifar10(path, "train"), npc, seed),
+                datamod.subset(datamod.load_cifar10(path, "test"), ntest, seed))
     make = (datamod.make_texture_images if cfg["data.dataset"] == "texture"
             else datamod.make_synthetic_images)
     return (make(npc, seed=seed, noise=cfg["data.noise"], split="train"),
@@ -345,7 +327,6 @@ def cmd_train(args, cfg):
     stage = []
     blocks, records = train_greedy(config, xtr, last_input=stage)
     checksum = blocks_checksum(blocks)
-    write_metrics(args.out, records)
     payload = {"command": "train", "param_checksum": checksum,
                "final_total": records[-1]["total"], "n_train": len(ytr)}
     if args.probe:
@@ -353,6 +334,7 @@ def cmd_train(args, cfg):
                                       train_stage=stage[0])
         payload.update(train_acc=tr_acc, test_acc=te_acc)
         print(f"probe train {tr_acc:.3f}  test {te_acc:.3f}")
+    write_metrics(args.out, records)
     write_summary(args.out, payload)
     print(f"trained {len(blocks)} blocks in {time.time() - t0:.1f}s  checksum {checksum[:12]}")
     return 0
@@ -410,11 +392,11 @@ def cmd_oja_demo(args, cfg):
     x = datamod.synth_gaussian(spec)
     v1 = svd(x).v[:, 0]
     rng = np.random.default_rng(args.seed)
-    state = RuleState(w=rng.standard_normal((16, 1)) * 0.1, eta=1e-3)
+    w = rng.standard_normal((16, 1)) * 0.1
     cos = 0.0
     for step in range(2000):
-        state = oja_step(state, x)
-        cos = abs(float(v1 @ state.w[:, 0]) / (np.linalg.norm(state.w) + 1e-12))
+        w = oja_step(w, x, eta=1e-3)
+        cos = abs(float(v1 @ w[:, 0]) / (np.linalg.norm(w) + 1e-12))
         if cos >= 0.99:
             break
     write_summary(args.out, {"command": "oja-demo", "steps": step + 1, "abs_cos": cos})
@@ -425,9 +407,13 @@ def cmd_oja_demo(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is a ConfigError, not usage text
+        raise ConfigError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="sphere",
-                                description="structural-matching representation learning")
+    p = _Parser(prog="sphere", description="structural-matching representation learning")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VAL", dest="overrides",
                    help="override a config value (repeatable)")
@@ -470,22 +456,25 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config, args.overrides)
         if args.seed is None:
             args.seed = cfg.get("train.seed", 0)
-        elif args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.seed < 0:
+            raise ConfigError(f"the run seed (--seed, else train.seed) must be >= 0, "
+                              f"got {args.seed}")
         try:
-            write_manifest(args.out, cfg, args.seed, args.command)
+            os.makedirs(args.out, exist_ok=True)
         except OSError as exc:  # e.g. --out names an existing file
             raise ConfigError(f"--out {args.out}: cannot write the run there: "
                               f"{exc.strerror}") from exc
-        return args.fn(args, cfg)
+        code = args.fn(args, cfg)
+        write_manifest(args.out, cfg, args.seed, args.command)
+        return code
     except (ConfigError, datamod.FormatError, NumericsError, net.MemoryConstraintError,
-            TrainingDivergedError, OptimizerError, FrozenBlocksMutatedError) as exc:
+            TrainingDivergedError, OptimizerError, FrozenBlocksMutatedError,
+            MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from sphere.data import (SyntheticSpec, channel_stats, harmonic_spectrum,
 from sphere.linalg import frob_norm_sq, svd
 from sphere.losses import orth_grad_linear, orth_loss, sphere_grad_linear, sphere_loss
 from sphere.oracle import principal_projection
-from sphere.plasticity import RuleState, oja_step
+from sphere.plasticity import oja_step
 from sphere.trainer import (AdamW, TrainConfig, build_blocks, evaluate_config,
                             features, param_checksum, run_linearity_study,
                             train_greedy, train_linear_block, train_probe)
@@ -135,12 +135,12 @@ def test_criterion_4_oja_fixed_point():
     x = synth_gaussian(spec)
     v1 = svd(x).v[:, 0]
     rng = np.random.default_rng(4)
-    state = RuleState(w=rng.standard_normal((16, 1)) * 0.1, eta=1e-3)
+    w = rng.standard_normal((16, 1)) * 0.1
     cos = 0.0
     steps = 0
     for steps in range(1, 2001):
-        state = oja_step(state, x)
-        cos = abs(float(v1 @ state.w[:, 0])) / np.linalg.norm(state.w)
+        w = oja_step(w, x, eta=1e-3)
+        cos = abs(float(v1 @ w[:, 0])) / np.linalg.norm(w)
         if cos >= 0.99:
             break
     report(4, cos >= 0.99, f"|cos| = {cos:.4f} after {steps} steps (limit 2000)")

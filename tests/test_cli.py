@@ -11,8 +11,8 @@ import pytest
 
 from sphere import cli, trainer
 from sphere import data as datamod
-from sphere.cli import (ConfigError, DEFAULT_CONFIG, load_config, main,
-                        parse_config_text, train_config_from, write_summary)
+from sphere.cli import (ConfigError, load_config, main, parse_config_text, train_config_from,
+                        write_summary)
 from sphere.trainer import TrainConfig
 
 # float64 blocks small enough that every training command runs in about a second
@@ -27,6 +27,21 @@ def run_train(tmp_path, name, *flags):
     out = tmp_path / name
     assert main(["--out", str(out), *TINY, *flags, "train"]) == 0
     return (out / "manifest.txt").read_text(), json.loads((out / "summary.json").read_text())
+
+
+def refusal(capsys, out):
+    """The one-line JSON error of a refused run, which left no artifact in `out`."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    for name in ("manifest.txt", "metrics.jsonl", "summary.json"):
+        assert not (out / name).exists()
+    return json.loads(lines[0])
+
+
+def no_synthetic_images(monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("synthetic images made for a run that must not make them")
+    monkeypatch.setattr(datamod, "make_synthetic_images", generate)
 
 
 class TestConfigParser:
@@ -62,6 +77,10 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="lr"):
             parse_config_text("[train]\nlr = fast\n")
 
+    def test_out_of_range_value_reports_position(self):
+        with pytest.raises(ConfigError, match=r":2:\d+: data.noise must be finite and >= 0"):
+            parse_config_text("[data]\nnoise = -1\n")
+
     def test_overrides_win(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("[train]\nlr = 0.5\n")
@@ -73,7 +92,7 @@ class TestConfigParser:
             load_config("/nonexistent/path.cfg", [])
 
     def test_train_config_from(self):
-        cfg = dict(DEFAULT_CONFIG)
+        cfg = load_config(None, [])
         cfg["train.channels"] = (4, 8)
         cfg["train.epochs"] = 6
         tc = train_config_from(cfg, seed=7)
@@ -135,16 +154,48 @@ class TestArtifacts:
         p.write_text("[train]\nbogus = 1\n")
         code = main(["--config", str(p), "--out", str(tmp_path / "r"), "oja-demo"])
         assert code == 2
-        record = json.loads(capsys.readouterr().err.strip())
+        record = refusal(capsys, tmp_path / "r")
         assert record["error"] == "ConfigError"
         assert "bogus" in record["message"]
 
+    @pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"[train]\nlr = \xff\n")
+        out = tmp_path / "r"
+        assert main(["--config", str(path), "--out", str(out), "oja-demo"]) == 2
+        record = refusal(capsys, out)
+        assert record["error"] == "ConfigError"
+        assert str(path) in record["message"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--seed", "abc", "train"], "abc"), (["bogus"], "bogus"),
+        (["train", "--nope"], "--nope"), ([], "command"),
+    ], ids=["--seed abc", "bogus", "train --nope", "no command"])
+    def test_bad_command_line_exit_code(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "r"
+        assert main(["--out", str(out), *argv]) == 2
+        record = refusal(capsys, out)
+        assert record["error"] == "ConfigError"
+        assert named in record["message"]
+
+    def test_impossible_allocation_exit_code(self, tmp_path, capsys):
+        # block 0's head maps 24 channels to d_proj: 192 TB of float64, past
+        # any process's address space, so the allocation fails at once
+        out = tmp_path / "r"
+        assert main(["--out", str(out), *TINY, "--set", "train.channels=48",
+                     "--set", "train.d_proj=1000000000000", "train"]) == 2
+        record = refusal(capsys, out)
+        assert "MemoryError" in record["error"]
 
     def test_bad_train_value_exit_code(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "r"), *TINY, "--set", "train.dtype=float16",
                      "train"])
         assert code == 2
-        record = json.loads(capsys.readouterr().err.strip())
+        record = refusal(capsys, tmp_path / "r")
         assert record["error"] == "NumericsError"
         assert "float16" in record["message"]
 
@@ -159,29 +210,21 @@ class TestArtifacts:
     def test_invalid_value_exit_code(self, tmp_path, capsys, monkeypatch, setting):
         out = tmp_path / "r"
         if setting == "data.n_per_class=1000000000":  # refused before any image is made
-            def generate(*args, **kwargs):
-                raise AssertionError("images generated for a run that cannot fit in memory")
-            monkeypatch.setattr(datamod, "make_synthetic_images", generate)
+            no_synthetic_images(monkeypatch)
         flags = [setting] if setting.startswith("--") else ["--set", setting]
         assert main(["--out", str(out), *TINY, *flags, "train"]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
+        record = refusal(capsys, out)
         assert record["error"] in ("ConfigError", "NumericsError")
         assert setting.split("=")[0].split(".")[-1] in record["message"]
-        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("flags", [["--B", "8"], ["--B", "1"], ["--steps", "0"]],
                              ids=" ".join)
     def test_verify_lemma_invalid_flag_exit_code(self, tmp_path, capsys, flags):
         out = tmp_path / "r"
         assert main(["--out", str(out), "verify-lemma", "--M", "8", *flags]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
+        record = refusal(capsys, out)
         assert record["error"] == "ConfigError"
         assert flags[0] in record["message"]
-        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["linearity", "--epochs", "0"], ["linearity", "--epochs", "-1"],
@@ -193,12 +236,9 @@ class TestArtifacts:
             monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: calls.append(name))
         out = tmp_path / "r"
         assert main(["--out", str(out), *TINY, *argv]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
+        record = refusal(capsys, out)
         assert record["error"] == "ConfigError"
         assert argv[1] in record["message"]
-        assert not (out / "summary.json").exists()
         assert calls == []
 
     def test_refused_orth_without_phi_exit_code(self, tmp_path, capsys):
@@ -207,10 +247,7 @@ class TestArtifacts:
         code = main(["--out", str(out), "--set", "data.n_per_class=2",
                      "--set", "train.use_phi=false", "train"])
         assert code == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "MemoryConstraintError"
-        assert not (out / "summary.json").exists()
+        assert refusal(capsys, out)["error"] == "MemoryConstraintError"
 
     @pytest.mark.parametrize("error", [trainer.TrainingDivergedError, trainer.OptimizerError])
     def test_training_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
@@ -219,9 +256,7 @@ class TestArtifacts:
         monkeypatch.setattr(cli, "train_greedy", diverge)
         out = tmp_path / "r"
         assert main(["--out", str(out), *TINY, "train"]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record == {"error": error.__name__, "message": "non-finite"}
-        assert not (out / "summary.json").exists()
+        assert refusal(capsys, out) == {"error": error.__name__, "message": "non-finite"}
 
     def test_mutated_blocks_exit_code(self, tmp_path, capsys, monkeypatch):
         trained = []
@@ -240,10 +275,7 @@ class TestArtifacts:
         monkeypatch.setattr(trainer, "train_probe", mutating_probe)
         out = tmp_path / "r"
         assert main(["--out", str(out), *TINY, "train", "--probe"]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "FrozenBlocksMutatedError"
-        assert not (out / "summary.json").exists()
+        assert refusal(capsys, out)["error"] == "FrozenBlocksMutatedError"
 
     def test_manifest_version_from_package_checkout(self, tmp_path, monkeypatch):
         # the version names the checkout holding the package, not the cwd's
@@ -280,6 +312,44 @@ class TestSeed:
         _, flagged = run_train(tmp_path, "flag", "--seed", "5")
         assert "seed = 5\n" in manifest
         assert summary["param_checksum"] == flagged["param_checksum"]
+
+
+def cifar_layout(root):
+    """A CIFAR-10 binary layout of synthetic images, one per class in each file."""
+    root.mkdir()
+    for seed, name in enumerate(datamod.CIFAR_TRAIN_FILES + datamod.CIFAR_TEST_FILES):
+        images = datamod.make_synthetic_images(1, seed=seed)
+        (root / name).write_bytes(datamod.serialize_cifar10(images))
+    return root
+
+
+class TestCifar10:
+    @pytest.mark.parametrize("via", ["data.dir", "SPHERE_DATA_DIR"])
+    def test_reads_the_layout_directory(self, tmp_path, monkeypatch, via):
+        layout = str(cifar_layout(tmp_path / "cifar"))
+        no_synthetic_images(monkeypatch)
+        # data.dir wins over SPHERE_DATA_DIR
+        monkeypatch.setenv("SPHERE_DATA_DIR", layout if via != "data.dir" else str(tmp_path))
+        flags = ["--set", f"data.dir={layout}"] if via == "data.dir" else []
+        _, summary = run_train(tmp_path, "r", "--set", "data.dataset=cifar10", *flags)
+        assert summary["n_train"] == 20
+
+    @pytest.mark.parametrize("where", ["neither set", "SPHERE_DATA_DIR=empty directory",
+                                       "SPHERE_DATA_DIR=file", "data.dir=file"])
+    def test_without_layout_directory_refused(self, tmp_path, capsys, monkeypatch, where):
+        batch = cifar_layout(tmp_path / "cifar") / "test_batch.bin"
+        (tmp_path / "empty").mkdir()
+        no_synthetic_images(monkeypatch)
+        monkeypatch.delenv("SPHERE_DATA_DIR", raising=False)
+        flags = ["--set", "data.dataset=cifar10"]
+        if where.startswith("SPHERE_DATA_DIR"):
+            monkeypatch.setenv("SPHERE_DATA_DIR",
+                               str(batch if where.endswith("file") else tmp_path / "empty"))
+        elif where == "data.dir=file":
+            flags += ["--set", f"data.dir={batch}"]
+        out = tmp_path / "r"
+        assert main(["--out", str(out), *TINY, *flags, "train"]) == 2
+        assert refusal(capsys, out)["error"] in ("ConfigError", "FormatError")
 
 
 SMOKE = {
