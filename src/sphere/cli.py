@@ -20,6 +20,7 @@ directory) writes none of them: it prints a one-line JSON error and exits 2.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -28,6 +29,7 @@ import sys
 import tempfile
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -120,7 +122,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key = key.strip()
         _parse_value(out, f"{section}.{key}" if section else key, val,
                      f"{source}:{lineno}:{raw.index(key) + 1}",
-                     f"{source}:{lineno}:{raw.index('=') + 2}")
+                     f"{source}:{lineno}:{len(raw) - len(raw.partition('=')[2].lstrip()) + 1}")
     return out
 
 
@@ -456,6 +458,7 @@ def build_parser():
 
 
 def main(argv=None):
+    created = []  # the --out directories this run makes, deepest first
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config, args.overrides)
@@ -464,6 +467,8 @@ def main(argv=None):
         if args.seed < 0:
             raise ConfigError(f"the run seed (--seed, else train.seed) must be >= 0, "
                               f"got {args.seed}")
+        out = Path(os.path.abspath(args.out))
+        created = [d for d in (out, *out.parents) if not os.path.lexists(d)]
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:  # e.g. --out names an existing file
@@ -475,6 +480,9 @@ def main(argv=None):
     except (ConfigError, datamod.FormatError, NumericsError, net.MemoryConstraintError,
             TrainingDivergedError, OptimizerError, FrozenBlocksMutatedError,
             MemoryError) as exc:
+        for path in created:  # a refused run leaves no empty --out behind
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -17,10 +17,6 @@ class NumericsError(ValueError):
     """Raised on invalid numeric input (non-finite entries, bad shapes)."""
 
 
-class SvdConvergenceError(NumericsError):
-    """SVD iteration failed to converge; input is likely ill-conditioned."""
-
-
 def as_matrix(a, dtype=None) -> np.ndarray:
     """Validate `a` as a finite 2-D array, optionally casting dtype."""
     m = np.asarray(a, dtype=dtype)
@@ -52,7 +48,7 @@ def svd(a) -> SvdResult:
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(str(exc)) from exc
+        raise NumericsError(f"SVD did not converge: {exc}") from exc
     v = vt.T
     # sign convention: largest-|entry| of each right singular vector >= 0
     idx = np.argmax(np.abs(v), axis=0)

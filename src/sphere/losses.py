@@ -3,10 +3,9 @@ in the linear case Y = X @ W.
 
 ``structural_grads`` is the objective's one definition: it returns the
 loss bundle and dL/dZ that training and the linear analyses use, while
-``sphere_loss`` / ``orth_loss`` / ``oja_equiv_loss`` evaluate single terms
-as references.  Every term is evaluated through B x B batch Grams (or Z's
-singular values), never an M x M matrix.  Two evaluation paths exist on
-purpose:
+``sphere_loss`` and ``orth_loss`` evaluate single terms as references.
+Every term is evaluated through B x B batch Grams (or Z's singular
+values), never an M x M matrix.  Two evaluation paths exist on purpose:
 
 * the training path (``normalize=True``, the default) row-normalizes its
   inputs first, which bounds loss magnitudes across datasets;
@@ -21,10 +20,6 @@ import numpy as np
 from .linalg import DEFAULT_EPS, NumericsError, as_matrix, frob_norm_sq, gram, row_normalize
 
 
-class SingularGramError(NumericsError):
-    """Input Gram matrix is singular or numerically near-singular."""
-
-
 @dataclass
 class LossBundle:
     """Scalar losses for one batch: total = sphere + lam * orth."""
@@ -32,26 +27,6 @@ class LossBundle:
     sphere: float
     orth: float
     total: float
-
-
-def oja_equiv_loss(y, x, cond_cap: float = 1e10) -> float:
-    """Oja-rule equivalent loss,
-    1/4 Tr((K_Y - K_X) K_X^{-1} (K_Y - K_X)).
-
-    Raises SingularGramError when X @ X.T is singular or its condition
-    number exceeds `cond_cap` (the inverse term is the numerically fragile
-    part of this objective).
-    """
-    y = as_matrix(y, dtype=np.float64)
-    x = as_matrix(x, dtype=np.float64)
-    if y.shape[0] != x.shape[0]:
-        raise NumericsError("batch-size mismatch between Y and X")
-    kx = gram(x)
-    sv = np.linalg.svd(kx, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < 1.0 / cond_cap:
-        raise SingularGramError("singular input Gram")
-    diff = gram(y) - kx
-    return 0.25 * float(np.trace(diff @ np.linalg.solve(kx, diff)))
 
 
 def sphere_loss(z, x, normalize: bool = True) -> float:

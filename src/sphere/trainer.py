@@ -123,8 +123,8 @@ class TrainConfig:
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise NumericsError(f"weight_decay must be finite and >= 0, "
                                 f"got {self.weight_decay}")
-        if self.epochs < 1:
-            raise NumericsError(f"epochs must be >= 1, got {self.epochs}")
+        if self.epochs < 1 or self.epochs % len(self.channels):
+            raise NumericsError(f"epochs must be n * len(channels) with n >= 1, got {self.epochs}")
         if self.d_proj < 1:
             raise NumericsError(f"d_proj must be >= 1, got {self.d_proj}")
         if self.phi_depth < 0:
@@ -136,7 +136,7 @@ class TrainConfig:
 
     @property
     def epochs_per_block(self):
-        return max(self.epochs // len(self.channels), 1)
+        return self.epochs // len(self.channels)
 
 
 def param_checksum(params: dict) -> str:
@@ -279,7 +279,7 @@ def train_probe(train_feats, train_labels, test_feats, test_labels,
     params = {"w": (rng.standard_normal((d, n_classes)) * 0.01).astype(xtr.dtype),
               "b": np.zeros(n_classes, dtype=xtr.dtype)}
     opt = AdamW(params, lr=1e-3, weight_decay=0.05)
-    onehot = np.eye(n_classes)[train_labels]
+    onehot = np.eye(n_classes, dtype=xtr.dtype)[train_labels]
     for epoch in range(epochs):
         for idx in datamod.batch_indices(len(xtr), min(128, len(xtr)), rng, drop_last=False):
             xb = xtr[idx]

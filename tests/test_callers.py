@@ -15,10 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sphere").glob("*.py"))
 CALLERS = [*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
-# the closed-form Oja-equivalent loss is the reference that the ridge-Oja
-# term of structural_grads is tested against; no command needs it
-ALLOWED = {"oja_equiv_loss"}
-
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
@@ -58,5 +54,5 @@ USED = used_names()
 
 @pytest.mark.parametrize("qualname", sorted(PUBLIC))
 def test_public_name_has_a_caller(qualname):
-    has_caller = PUBLIC[qualname] in USED | ALLOWED
+    has_caller = PUBLIC[qualname] in USED
     assert has_caller, f"{qualname} has no caller in src/sphere, perfbench or tests/test_acceptance.py"

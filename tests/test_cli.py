@@ -11,6 +11,7 @@ import pytest
 
 from sphere import cli, trainer
 from sphere import data as datamod
+from sphere import network as net
 from sphere.cli import (ConfigError, load_config, main, parse_config_text, train_config_from,
                         write_summary)
 from sphere.trainer import TrainConfig
@@ -78,7 +79,8 @@ class TestConfigParser:
             parse_config_text("[train]\nlr = fast\n")
 
     def test_out_of_range_value_reports_position(self):
-        with pytest.raises(ConfigError, match=r":2:\d+: data.noise must be finite and >= 0"):
+        # line 2, column 9: where the value -1 starts
+        with pytest.raises(ConfigError, match=r":2:9: data.noise must be finite and >= 0"):
             parse_config_text("[data]\nnoise = -1\n")
 
     def test_overrides_win(self, tmp_path):
@@ -205,17 +207,26 @@ class TestArtifacts:
         "data.dataset=bogus", "train.lr=-1", "train.lr=0", "train.lr=inf",
         "train.weight_decay=-5", "train.lam=nan", "probe.epochs=0", "data.noise=-1",
         "data.seed=-1", "train.seed=-1", "--seed=-1", "train.channels=2,2,2,2,2,2",
-        "--out=/dev/null", "data.n_per_class=1000000000",
+        "--out=/dev/null", "data.n_per_class=1000000000", "train.epochs=3",
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, monkeypatch, setting):
-        out = tmp_path / "r"
+        steps = []
+        monkeypatch.setattr(net, "block_backward", lambda *a, **kw: steps.append(a))
+        (tmp_path / "old").mkdir()
+        out = tmp_path / "old" / "new" / "r"
         if setting == "data.n_per_class=1000000000":  # refused before any image is made
             no_synthetic_images(monkeypatch)
         flags = [setting] if setting.startswith("--") else ["--set", setting]
+        if setting == "train.channels=2,2,2,2,2,2":  # six blocks need a multiple of 6 epochs
+            flags += ["--set", "train.epochs=6"]
         assert main(["--out", str(out), *TINY, *flags, "train"]) == 2
         record = refusal(capsys, out)
         assert record["error"] in ("ConfigError", "NumericsError")
         assert setting.split("=")[0].split(".")[-1] in record["message"]
+        assert steps == []
+        # the directories made for --out go, the one that was there stays
+        assert os.listdir(tmp_path) == ["old"]
+        assert os.listdir(tmp_path / "old") == []
 
     @pytest.mark.parametrize("flags", [["--B", "8"], ["--B", "1"], ["--steps", "0"]],
                              ids=" ".join)
@@ -384,7 +395,7 @@ def test_training_images_forwarded_once_per_block(tmp_path, forward_counts, argv
     # L-1's stage input in training, and the evaluation runs only block L-1
     # over the training images
     assert main(["--out", str(tmp_path / "r"), *TINY, "--set", "train.channels=4,8,8",
-                 *argv]) == 0
+                 "--set", "train.epochs=3", *argv]) == 0
     assert forward_counts.per_block("train") == [20, 20, 0]
     assert forward_counts.per_block("eval") == [10, 10, 30]
 

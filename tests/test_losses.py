@@ -4,7 +4,8 @@ Gradients are verified against central finite differences computed here in
 the test (independent of the library's own machinery), and the
 orthogonality gradient's deliberate 1/4 constant is pinned exactly.  The
 training objective (structural_grads) is pinned to the reference
-evaluators sphere_loss, orth_loss and oja_equiv_loss.
+evaluators sphere_loss and orth_loss, and to the closed-form Oja-equivalent
+loss defined here: no command needs that loss, only this pin.
 """
 
 import tracemalloc
@@ -12,11 +13,34 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sphere.linalg import NumericsError, row_normalize
-from sphere.losses import (LossBundle, SingularGramError, input_gram, oja_equiv_loss,
-                           orth_grad_linear, orth_loss, sphere_grad_linear,
-                           sphere_loss, structural_grads)
+from sphere.linalg import NumericsError, as_matrix, gram, row_normalize
+from sphere.losses import (LossBundle, input_gram, orth_grad_linear, orth_loss,
+                           sphere_grad_linear, sphere_loss, structural_grads)
 from sphere.oracle import principal_projection
+
+
+class SingularGramError(NumericsError):
+    """Input Gram matrix is singular or numerically near-singular."""
+
+
+def oja_equiv_loss(y, x, cond_cap: float = 1e10) -> float:
+    """Oja-rule equivalent loss,
+    1/4 Tr((K_Y - K_X) K_X^{-1} (K_Y - K_X)).
+
+    Raises SingularGramError when X @ X.T is singular or its condition
+    number exceeds `cond_cap` (the inverse term is the numerically fragile
+    part of this objective).
+    """
+    y = as_matrix(y, dtype=np.float64)
+    x = as_matrix(x, dtype=np.float64)
+    if y.shape[0] != x.shape[0]:
+        raise NumericsError("batch-size mismatch between Y and X")
+    kx = gram(x)
+    sv = np.linalg.svd(kx, compute_uv=False)
+    if sv[0] == 0 or sv[-1] / sv[0] < 1.0 / cond_cap:
+        raise SingularGramError("singular input Gram")
+    diff = gram(y) - kx
+    return 0.25 * float(np.trace(diff @ np.linalg.solve(kx, diff)))
 
 
 def fd_grad(fun, w, h=1e-6):

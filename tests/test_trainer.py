@@ -78,9 +78,10 @@ class TestTrainConfig:
         ("dtype", "float16"), ("activation", "foo"), ("channels", ()), ("lam", -0.1),
         ("channels", (8, 0)), ("epochs", 0), ("d_proj", 0), ("phi_depth", -1),
         ("lr", 0.0), ("lam", float("nan")), ("weight_decay", -5.0),
-        ("weight_decay", float("inf")),
+        ("weight_decay", float("inf")), ("epochs", 13),
     ], ids=["dtype", "activation", "channels", "lam", "channel_width", "epochs", "d_proj",
-            "phi_depth", "lr", "lam_nan", "weight_decay", "weight_decay_inf"])
+            "phi_depth", "lr", "lam_nan", "weight_decay", "weight_decay_inf",
+            "epochs_not_a_multiple_of_blocks"])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(NumericsError, match=field if field != "lam" else "lambda"):
             TrainConfig(**{field: value})
@@ -88,6 +89,18 @@ class TestTrainConfig:
     def test_epochs_split_across_blocks(self):
         cfg = TrainConfig(channels=(8, 16, 32), epochs=12)
         assert cfg.epochs_per_block == 4
+        # every accepted total splits exactly; every other one is refused
+        for blocks in (1, 2, 3, 4):
+            accepted = []
+            for epochs in range(-1, 13):
+                try:
+                    cfg = TrainConfig(channels=(8,) * blocks, epochs=epochs)
+                except NumericsError as exc:
+                    assert "epochs" in str(exc)
+                    continue
+                assert cfg.epochs_per_block * blocks == epochs
+                accepted.append(epochs)
+            assert accepted == list(range(blocks, 13, blocks))
 
 
 SMALL = dict(channels=(8, 16), epochs=4, batch_size=32, d_proj=16, dtype="float64")
