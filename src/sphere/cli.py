@@ -7,20 +7,21 @@ the type of each field's default; SETTINGS declares the ``data.*`` and
 ``probe.*`` keys.  ``data.dataset=cifar10`` reads the binary layout from
 the directory that ``data.dir``, else SPHERE_DATA_DIR, names; synthetic
 and texture are generated and never read ``data.dir``.
-A run that passes its checks writes three artifacts into the output directory:
+Each ``cmd_*`` prints its line and returns (exit code, summary payload,
+metrics records or None); ``main`` then writes into ``--out``, manifest last:
 
+  metrics.jsonl  the records, one JSON object per line (train, verify-lemma)
+  summary.json   the payload with ``schema`` and ``command``; no timestamps,
+                 so runs with identical manifests are byte-identical (64-bit)
   manifest.txt   resolved config, code version, seed (identity of the run)
-  metrics.jsonl  one JSON record per (block, epoch) during training
-  summary.json   final results; schema-versioned, no timestamps, so two
-                 runs with identical manifests are byte-identical (64-bit)
 
-A refused run (a bad command line, an unreadable config file, an
-out-of-range value, an impossible allocation, cifar10 without its layout
-directory) writes none of them: it prints a one-line JSON error and exits 2.
+A refused run (a bad command line or ``--out``, an unreadable config file,
+an out-of-range value, an impossible allocation, cifar10 without its layout
+directory, an artifact it cannot write) makes no directory and writes no
+artifact: it prints a one-line JSON error and exits 2.
 """
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -29,7 +30,6 @@ import sys
 import tempfile
 import time
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .trainer import (FrozenBlocksMutatedError, OptimizerError, TrainConfig,
                       TrainingDivergedError, blocks_checksum, features, knn_eval, probe_blocks,
                       run_ablation, run_linearity_study, run_transfer, train_greedy,
                       train_linear_block)
-
-SUMMARY_SCHEMA = 1
 
 
 class ConfigError(ValueError):
@@ -166,35 +164,26 @@ def _git_describe():
     return "unknown"
 
 
+def _nearest_existing(path: str) -> str:
+    """The absolute `path` if it exists, else its nearest existing ancestor."""
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return path
+
+
 def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to a temp file beside `path`, then rename it over
-    `path`, so a failed write never leaves a partial artifact."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+    """Write `text` to a temp file in the nearest existing directory above
+    `path`, then make `path`'s directory and rename the temp over `path`,
+    so a failed write leaves neither a partial artifact nor a new directory."""
+    fd, tmp = tempfile.mkstemp(dir=_nearest_existing(os.path.dirname(path)), prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def write_manifest(outdir: str, cfg: dict, seed: int, command: str) -> None:
-    lines = [f"command = {command}", f"seed = {seed}", f"version = {_git_describe()}"]
-    lines += [f"{k} = {cfg[k]}" for k in sorted(cfg)]
-    _write_atomic(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
-
-
-def write_summary(outdir: str, payload: dict) -> None:
-    body = {"schema": SUMMARY_SCHEMA}
-    body.update(payload)
-    _write_atomic(os.path.join(outdir, "summary.json"),
-                  json.dumps(body, indent=1, sort_keys=True) + "\n")
-
-
-def write_metrics(outdir: str, records) -> None:
-    _write_atomic(os.path.join(outdir, "metrics.jsonl"),
-                  "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +252,12 @@ def cmd_verify_lemma(args, cfg):
     w, history = train_linear_block(x, args.M, steps=args.steps, seed=args.seed)
     achieved = sphere_loss(x @ w, x, normalize=False)
     ratio = achieved / oracle.min_loss if oracle.min_loss > 0 else float("inf")
-    write_summary(args.out, {
-        "command": "verify-lemma", "B": args.B, "N": args.N, "M": args.M,
-        "achieved_loss": achieved, "oracle_loss": oracle.min_loss, "ratio": ratio,
-        "converged": bool(ratio <= 1.05),
-    })
-    write_metrics(args.out, [{"step": i, "sphere": v}
-                             for i, v in enumerate(history) if i % 100 == 0])
     print(f"achieved {achieved:.6e}  oracle {oracle.min_loss:.6e}  ratio {ratio:.4f}")
-    return 0 if ratio <= 1.05 else 1
+    converged = bool(ratio <= 1.05)
+    return (0 if converged else 1,
+            {"B": args.B, "N": args.N, "M": args.M, "achieved_loss": achieved,
+             "oracle_loss": oracle.min_loss, "ratio": ratio, "converged": converged},
+            [{"step": i, "sphere": v} for i, v in enumerate(history) if i % 100 == 0])
 
 
 def _fd_rel_err(fun, param, grad, h=1e-5, probes=6, seed=0):
@@ -318,9 +304,8 @@ def cmd_gradcheck(args, cfg):
     worst = max(r["max_rel_err"] for r in rows)
     for r in rows:
         print(f"{r['op']:<32s} {r['max_rel_err']:.3e}")
-    write_summary(args.out, {"command": "gradcheck", "ops": rows,
-                             "worst": worst, "pass": bool(worst <= 1e-4)})
-    return 0 if worst <= 1e-4 else 1
+    passed = bool(worst <= 1e-4)
+    return 0 if passed else 1, {"ops": rows, "worst": worst, "pass": passed}, None
 
 
 def cmd_train(args, cfg):
@@ -329,17 +314,15 @@ def cmd_train(args, cfg):
     stage = []
     blocks, records = train_greedy(config, xtr, last_input=stage)
     checksum = blocks_checksum(blocks)
-    payload = {"command": "train", "param_checksum": checksum,
-               "final_total": records[-1]["total"], "n_train": len(ytr)}
+    payload = {"param_checksum": checksum, "final_total": records[-1]["total"],
+               "n_train": len(ytr)}
     if args.probe:
         tr_acc, te_acc = probe_blocks(config, blocks, xtr, ytr, xte, yte, cfg["probe.epochs"],
                                       train_stage=stage[0])
         payload.update(train_acc=tr_acc, test_acc=te_acc)
         print(f"probe train {tr_acc:.3f}  test {te_acc:.3f}")
-    write_metrics(args.out, records)
-    write_summary(args.out, payload)
     print(f"trained {len(blocks)} blocks in {time.time() - t0:.1f}s  checksum {checksum[:12]}")
-    return 0
+    return 0, payload, records
 
 
 def cmd_knn(args, cfg):
@@ -349,9 +332,8 @@ def cmd_knn(args, cfg):
     stage = []
     blocks, _ = train_greedy(config, xtr, last_input=stage)
     acc = knn_eval(features(blocks[-1:], stage[0]), ytr, features(blocks, xte), yte, k=args.k)
-    write_summary(args.out, {"command": "knn", "k": args.k, "test_acc": acc})
     print(f"knn@{args.k} {acc:.3f}")
-    return 0
+    return 0, {"k": args.k, "test_acc": acc}, None
 
 
 def cmd_ablate(args, cfg):
@@ -359,8 +341,7 @@ def cmd_ablate(args, cfg):
     rows = run_ablation(config, xtr, ytr, xte, yte, probe_epochs=cfg["probe.epochs"])
     for r in rows:
         print(f"{r['combo']:<24s} {r['test_acc']:.3f}")
-    write_summary(args.out, {"command": "ablate", "rows": rows})
-    return 0
+    return 0, {"rows": rows}, None
 
 
 def cmd_transfer(args, cfg):
@@ -370,10 +351,9 @@ def cmd_transfer(args, cfg):
     mean, std = datamod.channel_stats(src)
     xsrc = datamod.to_float(src, mean, std, config.np_dtype)
     res = run_transfer(xsrc, xtr, ytr, xte, yte, config, cfg["probe.epochs"])
-    write_summary(args.out, {"command": "transfer", **res})
     print(f"transfer {res['transfer_acc']:.3f}  direct {res['direct_acc']:.3f}  "
           f"gap {res['gap']:.3f}")
-    return 0
+    return 0, res, None
 
 
 def cmd_linearity(args, cfg):
@@ -382,10 +362,9 @@ def cmd_linearity(args, cfg):
     curve, align = run_linearity_study(seed=args.seed, epochs=args.epochs)
     diag = float(np.mean(np.diag(align)[:20]))
     off = float((align.sum() - np.trace(align)) / (align.size - align.shape[0]))
-    write_summary(args.out, {"command": "linearity", "cka_curve": [float(c) for c in curve],
-                             "diag20_mean": diag, "offdiag_mean": off})
     print(f"final cka {curve[-1]:.4f}  diag20 {diag:.3f}  offdiag {off:.3f}")
-    return 0
+    return 0, {"cka_curve": [float(c) for c in curve], "diag20_mean": diag,
+               "offdiag_mean": off}, None
 
 
 def cmd_oja_demo(args, cfg):
@@ -401,9 +380,8 @@ def cmd_oja_demo(args, cfg):
         cos = abs(float(v1 @ w[:, 0]) / (np.linalg.norm(w) + 1e-12))
         if cos >= 0.99:
             break
-    write_summary(args.out, {"command": "oja-demo", "steps": step + 1, "abs_cos": cos})
     print(f"|cos(w, v1)| = {cos:.4f} after {step + 1} steps")
-    return 0 if cos >= 0.99 else 1
+    return 0 if cos >= 0.99 else 1, {"steps": step + 1, "abs_cos": cos}, None
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +436,6 @@ def build_parser():
 
 
 def main(argv=None):
-    created = []  # the --out directories this run makes, deepest first
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config, args.overrides)
@@ -467,22 +444,26 @@ def main(argv=None):
         if args.seed < 0:
             raise ConfigError(f"the run seed (--seed, else train.seed) must be >= 0, "
                               f"got {args.seed}")
-        out = Path(os.path.abspath(args.out))
-        created = [d for d in (out, *out.parents) if not os.path.lexists(d)]
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:  # e.g. --out names an existing file
-            raise ConfigError(f"--out {args.out}: cannot write the run there: "
-                              f"{exc.strerror}") from exc
-        code = args.fn(args, cfg)
-        write_manifest(args.out, cfg, args.seed, args.command)
+        out = os.path.abspath(args.out)
+        if not args.out or not os.path.isdir(_nearest_existing(out)):
+            raise ConfigError(f"--out {args.out!r}: no directory can be made there")
+        code, summary, records = args.fn(args, cfg)
+        manifest = [f"command = {args.command}", f"seed = {args.seed}",
+                    f"version = {_git_describe()}", *(f"{k} = {cfg[k]}" for k in sorted(cfg))]
+        try:  # the manifest last: it marks a complete run
+            if records is not None:
+                _write_atomic(os.path.join(out, "metrics.jsonl"),
+                              "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+            _write_atomic(os.path.join(out, "summary.json"), json.dumps(
+                {"schema": 1, "command": args.command, **summary},
+                indent=1, sort_keys=True) + "\n")
+            _write_atomic(os.path.join(out, "manifest.txt"), "\n".join(manifest) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out!r}: cannot write the run there: {exc}") from exc
         return code
     except (ConfigError, datamod.FormatError, NumericsError, net.MemoryConstraintError,
             TrainingDivergedError, OptimizerError, FrozenBlocksMutatedError,
             MemoryError) as exc:
-        for path in created:  # a refused run leaves no empty --out behind
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

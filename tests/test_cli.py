@@ -12,8 +12,7 @@ import pytest
 from sphere import cli, trainer
 from sphere import data as datamod
 from sphere import network as net
-from sphere.cli import (ConfigError, load_config, main, parse_config_text, train_config_from,
-                        write_summary)
+from sphere.cli import ConfigError, load_config, main, parse_config_text, train_config_from
 from sphere.trainer import TrainConfig
 
 # float64 blocks small enough that every training command runs in about a second
@@ -213,19 +212,45 @@ class TestArtifacts:
         steps = []
         monkeypatch.setattr(net, "block_backward", lambda *a, **kw: steps.append(a))
         (tmp_path / "old").mkdir()
-        out = tmp_path / "old" / "new" / "r"
         if setting == "data.n_per_class=1000000000":  # refused before any image is made
             no_synthetic_images(monkeypatch)
         flags = [setting] if setting.startswith("--") else ["--set", setting]
         if setting == "train.channels=2,2,2,2,2,2":  # six blocks need a multiple of 6 epochs
             flags += ["--set", "train.epochs=6"]
-        assert main(["--out", str(out), *TINY, *flags, "train"]) == 2
-        record = refusal(capsys, out)
-        assert record["error"] in ("ConfigError", "NumericsError")
-        assert setting.split("=")[0].split(".")[-1] in record["message"]
+        # a `..` past a new directory must not make that directory either
+        for out in (tmp_path / "old" / "new" / "r", tmp_path / "old" / "new" / ".." / "x"):
+            assert main(["--out", str(out), *TINY, *flags, "train"]) == 2
+            record = refusal(capsys, out)
+            assert record["error"] in ("ConfigError", "NumericsError")
+            assert setting.split("=")[0].split(".")[-1] in record["message"]
+            assert steps == []
+            # no directory is made for --out, the one that was there stays
+            assert os.listdir(tmp_path) == ["old"]
+            assert os.listdir(tmp_path / "old") == []
+
+    @pytest.mark.parametrize("out", ["", "/dev/null", "file/sub"])
+    def test_unusable_out_refused_before_work(self, tmp_path, capsys, monkeypatch, out):
+        steps = []
+        monkeypatch.setattr(net, "block_backward", lambda *a, **kw: steps.append(a))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        assert main(["--out", out, *TINY, "train"]) == 2
+        record = refusal(capsys, tmp_path)
+        assert record["error"] == "ConfigError"
+        assert "--out" in record["message"]
         assert steps == []
-        # the directories made for --out go, the one that was there stays
-        assert os.listdir(tmp_path) == ["old"]
+        assert os.listdir(tmp_path) == ["file"]
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch):
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(cli.tempfile, "mkstemp", denied)
+        (tmp_path / "old").mkdir()
+        out = tmp_path / "old" / "new" / "r"
+        assert main(["--out", str(out), "oja-demo"]) == 2
+        record = refusal(capsys, out)
+        assert record["error"] == "ConfigError"
+        assert "Permission denied" in record["message"]
         assert os.listdir(tmp_path / "old") == []
 
     @pytest.mark.parametrize("flags", [["--B", "8"], ["--B", "1"], ["--steps", "0"]],
@@ -303,10 +328,13 @@ class TestArtifacts:
         manifest = (tmp_path / "run" / "manifest.txt").read_text()
         assert f"version = {described.stdout.strip()}\n" in manifest
 
-    def test_unencodable_summary_leaves_no_file(self, tmp_path):
-        with pytest.raises(TypeError):
-            write_summary(str(tmp_path), {"blocks": object()})
-        assert os.listdir(tmp_path) == []
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            cli._write_atomic(str(tmp_path / "summary.json"), "{}\n")
+        assert os.listdir(tmp_path) == []  # neither the target nor a .tmp- file
 
 
 class TestSeed:
@@ -364,29 +392,48 @@ class TestCifar10:
 
 
 SMOKE = {
+    "verify-lemma": (["--M", "4", "--steps", "4000"], {"B", "N", "M", "achieved_loss",
+                                                      "oracle_loss", "ratio", "converged"}),
+    "gradcheck": ([], {"ops", "worst", "pass"}),
     "train": (["--probe"], {"param_checksum", "final_total", "n_train", "train_acc",
                             "test_acc"}),
     "knn": (["--k", "1"], {"k", "test_acc"}),
     "ablate": ([], {"rows"}),
     "transfer": ([], {"transfer_acc", "direct_acc", "gap"}),
     "linearity": (["--epochs", "1"], {"cka_curve", "diag20_mean", "offdiag_mean"}),
+    "oja-demo": ([], {"steps", "abs_cos"}),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE))
 def test_command_smoke(tmp_path, command):
-    """Exit 0, the command's summary keys, byte-identical float64 reruns."""
+    """Exit 0, the artifacts (metrics.jsonl for the commands that log), the
+    command's summary keys, byte-identical float64 reruns."""
     flags, keys = SMOKE[command]
+    artifacts = {"manifest.txt", "summary.json"}
+    if command in ("train", "verify-lemma"):
+        artifacts.add("metrics.jsonl")
     summaries = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["--out", str(out), "--seed", "1", *TINY, command, *flags]) == 0
+        assert set(os.listdir(out)) == artifacts
         summaries.append((out / "summary.json").read_bytes())
     summary = json.loads(summaries[0])
     assert summary["schema"] == 1
     assert summary["command"] == command
     assert set(summary) == {"schema", "command"} | keys
     assert summaries[0] == summaries[1]
+
+
+def test_missed_target_writes_every_artifact(tmp_path):
+    out = tmp_path / "r"
+    assert main(["--out", str(out), "verify-lemma", "--M", "8", "--steps", "10"]) == 1
+    assert set(os.listdir(out)) == {"manifest.txt", "metrics.jsonl", "summary.json"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == "verify-lemma"
+    assert summary["converged"] is False
+    assert "command = verify-lemma\n" in (out / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", [["train", "--probe"], ["knn", "--k", "1"]], ids=" ".join)
