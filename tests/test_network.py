@@ -65,14 +65,35 @@ class TestActivations:
         assert y.dtype == d.dtype == np.float32
 
 
+# the quarter order of pool-major rows: position (di, dj) in each 2x2 window
+WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def to_nchw(q, b, oh, ow):
+    """(4, n, C) pool-major rows -> the (B, C, OH, OW) map they hold."""
+    c = q.shape[-1]
+    out = np.empty((b, oh, ow, c), dtype=q.dtype)
+    for k, (di, dj) in enumerate(WINDOW):
+        out[:, di::2, dj::2] = q[k].reshape(b, oh // 2, ow // 2, c)
+    return out.transpose(0, 3, 1, 2)
+
+
+def to_pool_major(x):
+    """(B, C, H, W) map -> its (4, n, C) pool-major rows."""
+    c = x.shape[1]
+    return np.stack([x[:, :, di::2, dj::2].transpose(0, 2, 3, 1).reshape(-1, c)
+                     for di, dj in WINDOW])
+
+
 class TestConv:
     def test_matches_naive(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 6, 6))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out, _ = net.conv_forward(x, k, b, stride=1, padding=1)
-        assert np.allclose(out, conv2d_naive(x, k, b), atol=1e-12)
+        q, _ = net.conv_forward(x, k, b, stride=1, padding=1)
+        assert q.shape == (4, 2 * 3 * 3, 4)
+        assert np.allclose(to_nchw(q, 2, 6, 6), conv2d_naive(x, k, b), atol=1e-12)
 
     def test_matches_naive_channels_last_input(self):
         # an NCHW view of NHWC memory, as the blocks produce
@@ -80,50 +101,59 @@ class TestConv:
         x = rng.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2)
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out, _ = net.conv_forward(x, k, b, stride=1, padding=1)
-        assert np.allclose(out, conv2d_naive(x, k, b), atol=1e-12)
+        q, _ = net.conv_forward(x, k, b, stride=1, padding=1)
+        assert np.allclose(to_nchw(q, 2, 6, 6), conv2d_naive(x, k, b), atol=1e-12)
 
     def test_matches_naive_stride_2(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((2, 3, 7, 8))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out, _ = net.conv_forward(x, k, b, stride=2, padding=1)
-        assert out.shape == (2, 4, 4, 4)
-        assert np.allclose(out, conv2d_naive(x, k, b, stride=2), atol=1e-12)
+        q, _ = net.conv_forward(x, k, b, stride=2, padding=1)
+        assert q.shape == (4, 2 * 2 * 2, 4)
+        assert np.allclose(to_nchw(q, 2, 4, 4), conv2d_naive(x, k, b, stride=2), atol=1e-12)
 
     def test_delta_kernel_is_identity(self):
         # 1-channel delta kernel with zero bias reproduces the input
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((1, 1, 5, 5))
+        x = rng.standard_normal((1, 1, 6, 4))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out, _ = net.conv_forward(x, k, np.zeros(1), stride=1, padding=1)
-        assert np.allclose(out, x, atol=1e-14)
+        q, _ = net.conv_forward(x, k, np.zeros(1), stride=1, padding=1)
+        assert np.allclose(to_nchw(q, 1, 6, 4), x, atol=1e-14)
 
     def test_1x1_no_pad(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 4, 3, 3))
+        x = rng.standard_normal((2, 4, 4, 2))
         k = rng.standard_normal((2, 4, 1, 1))
         b = np.zeros(2)
-        out, _ = net.conv_forward(x, k, b, stride=1, padding=0)
+        q, _ = net.conv_forward(x, k, b, stride=1, padding=0)
         # a 1x1 conv is a channel-mixing matrix multiply
         expected = np.einsum("bchw,oc->bohw", x, k[:, :, 0, 0])
-        assert np.allclose(out, expected, atol=1e-12)
+        assert np.allclose(to_nchw(q, 2, 4, 2), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, stride", [((1, 1, 5, 6), 1), ((1, 1, 6, 3), 1),
+                                               ((1, 1, 6, 9), 2)])
+    def test_odd_output_refused(self, shape, stride):
+        # 2x2 pooling needs an even conv output on both sides
+        k = np.zeros((1, 1, 3, 3))
+        with pytest.raises(NumericsError):
+            net.conv_forward(np.zeros(shape), k, np.zeros(1), stride=stride, padding=1)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 2, 4, 4))
         k = rng.standard_normal((3, 2, 3, 3)) * 0.5
         b = rng.standard_normal(3) * 0.1
-        g = rng.standard_normal((2, 3, 4, 4))
+        g = rng.standard_normal((4, 2 * 2 * 2, 3))
 
         def loss(kk, bb, xx):
-            out, _ = net.conv_forward(xx, kk, bb, stride=1, padding=1)
-            return float(np.sum(out * g))
+            q, _ = net.conv_forward(xx, kk, bb, stride=1, padding=1)
+            return float(np.sum(q * g))
 
-        out, cache = net.conv_forward(x, k, b, stride=1, padding=1)
-        dk, db = net.conv_backward(g, cache)
+        _, cache = net.conv_forward(x, k, b, stride=1, padding=1)
+        dk = net.conv_backward(g, cache)
+        db = g.reshape(-1, 3).sum(axis=0)  # the bias gradient the callers take
         h = 1e-6
         for arr, grad in ((k, dk), (b, db)):
             rngi = np.random.default_rng(5)
@@ -142,17 +172,17 @@ class TestConv:
 class TestPooling:
     def test_maxpool_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out, _ = net.maxpool2x2_forward(x)
-        assert np.allclose(out[0, 0], [[5, 7], [13, 15]])
+        out, _ = net.maxpool2x2_forward(to_pool_major(x))
+        assert np.allclose(out.reshape(2, 2), [[5, 7], [13, 15]])
 
     def test_maxpool_backward_routes_to_argmax(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out, cache = net.maxpool2x2_forward(x)
+        out, cache = net.maxpool2x2_forward(to_pool_major(x))
         g = np.ones_like(out)
-        dx = net.maxpool2x2_backward(g, cache)
+        dq = net.maxpool2x2_backward(g, cache)
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
-        assert np.allclose(dx[0, 0], expected)
+        assert np.allclose(to_nchw(dq, 1, 4, 4)[0, 0], expected)
 
     @pytest.mark.parametrize("window, winner", [
         ([[0.0, 1.0], [1.0, 1.0]], (0, 1)),
@@ -161,11 +191,11 @@ class TestPooling:
     def test_maxpool_tie_routes_to_first_winner(self, window, winner):
         # ties go to the first maximum in (0,0), (0,1), (1,0), (1,1) order
         x = np.array(window).reshape(1, 1, 2, 2)
-        out, cache = net.maxpool2x2_forward(x)
-        dx = net.maxpool2x2_backward(np.full_like(out, 3.0), cache)
+        out, cache = net.maxpool2x2_forward(to_pool_major(x))
+        dq = net.maxpool2x2_backward(np.full_like(out, 3.0), cache)
         expected = np.zeros((1, 1, 2, 2))
         expected[(0, 0) + winner] = 3.0
-        assert np.array_equal(dx, expected)
+        assert np.array_equal(to_nchw(dq, 1, 2, 2), expected)
 
     def test_maxpool_tie_in_binary_step_block(self):
         # zero kernel and unit bias: binary_step gives 1.0 everywhere, so
@@ -174,10 +204,11 @@ class TestPooling:
                           activation="binary_step")
         x = np.random.default_rng(19).standard_normal((2, 3, 4, 6))
         yp, (_, d_act, pool_cache) = net._main_forward(f, x)
-        da = net.maxpool2x2_backward(np.ones_like(yp), pool_cache) * d_act
+        g = np.ones((2 * 2 * 3, 2))  # the pooled rows of yp (2, 2, 2, 3)
+        da = net.maxpool2x2_backward(g, pool_cache) * d_act
         expected = np.zeros((2, 2, 4, 6))
         expected[:, :, 0::2, 0::2] = 1.0
-        assert np.array_equal(da, expected)
+        assert np.array_equal(to_nchw(da, 2, 4, 6), expected)
 
     def test_avgpool(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -255,18 +286,21 @@ class TestBlockForward:
 def activate_then_pool(f, x, lam=0.8):
     """Reference main path of block f in conv -> activation -> maxpool
     order, without a head: (output, grads of block_backward(f, None, x))."""
-    c, conv_cache = net.conv_forward(x, f.kernel, f.bias)
-    a, d_act = net.activation(f.activation, c)
+    q, conv_cache = net.conv_forward(x, f.kernel, f.bias)
+    a, d_act = net.activation(f.activation, q)
     p, pool_cache = net.maxpool2x2_forward(a)
-    yp = p.copy()
+    b, _, h, w = x.shape
+    yp = p.reshape(b, h // 2, w // 2, -1).transpose(0, 3, 1, 2).copy()  # pooled rows
     if f.use_skip:
         skip = net.avgpool2x2(x)
         n = min(skip.shape[1], p.shape[1])
         yp[:, :n] += skip[:, :n]
     _, dz = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam)
-    da = net.maxpool2x2_backward(dz.reshape(yp.shape), pool_cache) * d_act
-    dk, db = net.conv_backward(da, conv_cache)
-    return yp, {"main.kernel": dk, "main.bias": db}
+    g = dz.reshape(yp.shape).transpose(0, 2, 3, 1).reshape(p.shape)
+    dq = net.maxpool2x2_backward(g, pool_cache) * d_act
+    # each window's one routed gradient, summed per image, then over images
+    db = dq.sum(axis=0).reshape(b, -1, p.shape[1]).sum(axis=1).sum(axis=0)
+    return yp, {"main.kernel": net.conv_backward(dq, conv_cache), "main.bias": db}
 
 
 class TestPoolOrder:
@@ -324,6 +358,67 @@ class TestPoolOrder:
         y, d = net.activation(kind, x, grad=False)
         assert d is None
         assert np.array_equal(y, net.activation(kind, x)[0])
+
+
+def maxpool_first_winner(a):
+    """Loop-based 2x2 max-pool of an NCHW map: (pooled map, (B, C, H/2,
+    W/2, 2) array of each window's first maximum (di, dj) in row order)."""
+    b, c, h, w = a.shape
+    out = np.empty((b, c, h // 2, w // 2))
+    winner = np.empty(out.shape + (2,), dtype=int)
+    for idx in np.ndindex(out.shape):
+        n, ch, i, j = idx
+        for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            v = a[n, ch, 2 * i + di, 2 * j + dj]
+            if (di, dj) == (0, 0) or v > out[idx]:
+                out[idx], winner[idx] = v, (di, dj)
+    return out, winner
+
+
+def reference_block(f, x, lam):
+    """Block f without a head, from conv2d_naive and the loop max-pool in
+    conv -> activation -> maxpool order: (output, main.* gradients)."""
+    c = conv2d_naive(x, f.kernel, f.bias)
+    a, d_act = net.activation(f.activation, c)
+    yp, winner = maxpool_first_winner(a)
+    _, dz = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam)
+    dz = dz.reshape(yp.shape)
+    da = np.zeros_like(a)
+    for idx in np.ndindex(yp.shape):
+        n, ch, i, j = idx
+        di, dj = winner[idx]
+        da[n, ch, 2 * i + di, 2 * j + dj] = dz[idx]
+    da *= d_act
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    h, w = x.shape[2:]
+    dk = np.zeros_like(f.kernel)
+    for u, v in np.ndindex(f.kernel.shape[2:]):
+        dk[:, :, u, v] = np.einsum("boij,bcij->oc", da, xp[:, :, u:u + h, v:v + w])
+    return yp, {"main.kernel": dk, "main.bias": da.sum(axis=(0, 2, 3))}
+
+
+class TestBlockReference:
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
+    def test_block_matches_loop_reference(self, kind):
+        # dyadic inputs and weights make every conv sum exact in any order,
+        # so the forward pass must match bit for bit.  Ties: output channel
+        # 1 is the bias everywhere, image 0 is blank, and the inputs take
+        # five values; relu and binary_step add ties of their own
+        rng = np.random.default_rng(26)
+        x = rng.integers(-2, 3, size=(3, 2, 6, 8)) * 0.5
+        x[0] = 0.0
+        kernel = rng.integers(-2, 3, size=(3, 2, 3, 3)) * 0.25
+        kernel[1] = 0.0
+        f = net.MainBlock(kernel=kernel, bias=rng.integers(-4, 5, size=3) * 0.125,
+                          activation=kind)
+        expected_yp, expected = reference_block(f, x, lam=0.8)
+        yp, _ = net._main_forward(f, x)
+        assert np.array_equal(yp, expected_yp)
+        grads, _ = net.block_backward(f, None, x, lam=0.8)
+        for name, ref in expected.items():
+            assert np.any(ref), name
+            err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12, f"{name}: relative {err:.3g}"
 
 
 FD_ROWS = [

@@ -75,3 +75,22 @@ def test_conv_forward_cache_holds_the_kernel():
     kernel = rng.standard_normal((4, 3, 3, 3))
     _, cache = net.conv_forward(rng.standard_normal((2, 3, 8, 8)), kernel, np.zeros(4))
     assert cache[2] is kernel
+
+
+def test_tracer_times_every_block():
+    # run.py --trace 1 in-process: an annotator that cannot read its call
+    # (im2col's five positional arguments, conv_backward's cache[2]) raises
+    # out of train_greedy, and a span that loses its block reads 0 ms
+    spans = _load("spans")
+    tracer = spans.Tracer("test")
+    x = np.random.default_rng(0).standard_normal((8, 3, 8, 8))
+    config = trainer.TrainConfig(channels=(2, 2, 2), epochs=3, batch_size=4, d_proj=4)
+    tracer.install()
+    try:
+        trainer.train_greedy(config, x)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.names, tracer.arrays())
+    for b in range(spans.N_BLOCKS):
+        for kernel in ("im2col", "conv_backward", "maxpool2x2_backward"):
+            assert metrics[f"network.{kernel}.b{b}.ms"] > 0, (kernel, b)
