@@ -39,7 +39,7 @@ from .linalg import NumericsError, svd
 from .losses import sphere_grad_linear, sphere_loss
 from .oracle import principal_projection
 from .plasticity import oja_step
-from .trainer import (FrozenBlocksMutatedError, OptimizerError, TrainConfig,
+from .trainer import (PROBE_EPOCHS, FrozenBlocksMutatedError, OptimizerError, TrainConfig,
                       TrainingDivergedError, blocks_checksum, features, knn_eval, probe_blocks,
                       run_ablation, run_linearity_study, run_transfer, train_greedy,
                       train_linear_block)
@@ -71,7 +71,7 @@ SETTINGS = {
     "data.n_test_per_class": (100, 1),
     "data.noise": (2.2, 0),
     "data.seed": (100, 0),
-    "probe.epochs": (20, 1),
+    "probe.epochs": (PROBE_EPOCHS, 1),
 }
 
 # every accepted key with its parser; unknown keys are rejected

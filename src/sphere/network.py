@@ -3,9 +3,9 @@ dense) main transform with activation and pooling, plus a lightweight
 auxiliary projection that maps the block output to a low-dimensional
 matrix on which the structural loss is computed.
 
-A main block max-pools its conv output before the activation for relu,
-leaky_relu, tanh and sigmoid, which commute with max-pooling, and after
-it for binary_step, whose threshold creates ties (see POOL_FIRST).
+A main block max-pools its conv output before the activation: every
+activation here is non-decreasing, so this equals activating first, on a
+quarter of the elements.
 
 Gradients are fully manual reverse-mode and never leave the block: the
 input gradient is not produced, and the detached skip path contributes no
@@ -32,12 +32,6 @@ from .linalg import NumericsError
 from .losses import input_gram, structural_grads
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
-# Non-decreasing, so a block max-pools before these, on a quarter of the
-# elements: maxpool(act(x)) = act(maxpool(x)).  The gradient reaches the
-# same element unless the activation rounds two distinct pre-activations
-# of a window to one value.  binary_step activates first: its threshold
-# ties 0.3 with 0.5, which would move maxpool2x2_backward's routing.
-POOL_FIRST = ("relu", "leaky_relu", "tanh", "sigmoid")
 LEAKY_SLOPE = 0.01
 
 
@@ -127,8 +121,9 @@ def im2col(x, kh, kw, stride, pad):
     return cols.reshape(4, -1, kh * kw * c)
 
 
-def conv_forward(x, kernel, bias, stride: int = 1, padding: int = 1):
-    """Cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw).
+def conv_forward(x, kernel, bias):
+    """Stride-1 cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw),
+    zero-padded by 1.
 
     Returns (q, cache): q is the (4, n, O) pool-major output rows (see
     im2col), and cache = ((B, OH/2, OW/2), cols, kernel) feeds
@@ -138,8 +133,8 @@ def conv_forward(x, kernel, bias, stride: int = 1, padding: int = 1):
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise NumericsError(f"channel mismatch: input {c}, kernel {ck}")
-    oh, ow = _out_hw(h, w, kh, kw, stride, padding)
-    cols = im2col(x, kh, kw, stride, padding)
+    oh, ow = _out_hw(h, w, kh, kw, 1, 1)
+    cols = im2col(x, kh, kw, 1, 1)
     q = cols @ kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
     q += bias
     return q, ((b, oh // 2, ow // 2), cols, kernel)
@@ -206,8 +201,8 @@ def flatten(x):
 class MainBlock:
     """Conv 3x3 -> maxpool 2x2 -> activation, with an optional detached
     avg-pool skip connection (channel mismatch handled by zero-padding).
-    The same function as conv -> activation -> maxpool, which binary_step
-    keeps: its threshold ties would move the pooling gradient's routing.
+    Every activation is non-decreasing, so this is conv -> activation ->
+    maxpool, with each window's gradient sent to its pre-activation max.
     The conv yields pool-major (4, n, O) rows, so the max-pool is the max
     of four contiguous quarters and its (n, O) result is the output map."""
 
@@ -258,7 +253,7 @@ def init_main_block(in_ch, out_ch, rng, activation="leaky_relu", use_skip=False,
     )
 
 
-def init_aux_block(in_ch, d_proj=256, depth=1, rng=None, activation="leaky_relu", dtype=np.float64):
+def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.float64):
     """Build the projection head; each 1x1 conv halves the channel count."""
     kernels, biases = [], []
     ch = in_ch
@@ -281,18 +276,12 @@ def _main_forward(f: MainBlock, x, train: bool = True):
     block_backward reads: (conv cache, activation derivative, pool cache).
     With train False the cache is None, and no derivative, im2col rows or
     pool cache outlive their use."""
-    q, conv_cache = conv_forward(x, f.kernel, f.bias, stride=1, padding=1)
+    q, conv_cache = conv_forward(x, f.kernel, f.bias)
     grid = conv_cache[0]
     if not train:
         conv_cache = None  # frees the im2col rows before the activation
-    if f.activation in POOL_FIRST:
-        pooled, pool_cache = maxpool2x2_forward(q)
-        p, d_act = activation(f.activation, pooled, grad=train)
-    else:
-        a, d_act = activation(f.activation, q, grad=train)
-        p, pool_cache = maxpool2x2_forward(a)
-        if train and f.use_skip:
-            p = p.copy()  # the pool cache keeps the pooled rows
+    pooled, pool_cache = maxpool2x2_forward(q)
+    p, d_act = activation(f.activation, pooled, grad=train)
     p = p.reshape(*grid, -1).transpose(0, 3, 1, 2)  # rows -> channels-last map
     if f.use_skip:
         # detached: no gradient flows back through skip.  Missing skip
@@ -372,13 +361,8 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     # row of dq, so the bias gradient is the sum of the n routed gradients:
     # per image, then over the batch, which at the block shapes is as fast
     # as one pass over the n rows and 3-11x more accurate in float32.
-    if f.activation in POOL_FIRST:
-        g *= d_act  # g is fresh: built from dz or d_rows above
-        dq = maxpool2x2_backward(g, pool_cache)
-    else:
-        dq = maxpool2x2_backward(g, pool_cache)
-        dq *= d_act
-        g = dq.sum(axis=0)  # exact: three of each window's four rows are 0
+    g *= d_act  # g is fresh: built from dz or d_rows above
+    dq = maxpool2x2_backward(g, pool_cache)
     grads["main.kernel"] = conv_backward(dq, conv_cache)
     grads["main.bias"] = g.reshape(b, -1, c).sum(axis=1).sum(axis=0)
     return grads, bundle

@@ -256,6 +256,8 @@ def features(blocks, images) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # supervised probe and KNN on frozen features
 
+PROBE_EPOCHS = 20  # of the linear probe, unless the probe.epochs setting says otherwise
+
 
 def _softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
@@ -264,7 +266,7 @@ def _softmax(logits):
 
 
 def train_probe(train_feats, train_labels, test_feats, test_labels,
-                epochs: int = 20, seed: int = 0):
+                epochs: int = PROBE_EPOCHS, seed: int = 0):
     """Linear softmax probe on frozen features, trained with AdamW (lr 1e-3,
     weight decay 0.05, batches of 128); returns (train_acc, test_acc)."""
     if len(train_feats) != len(train_labels):
@@ -343,7 +345,7 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
 # linear-vs-nonlinear branch study
 
 
-def run_linearity_study(epochs: int = 30, seed: int = 0):
+def run_linearity_study(epochs: int, seed: int):
     """Train a linear branch (64 -> 40) and a nonlinear branch, an AuxBlock
     with two tanh 1x1 convs (64 -> 128 -> 128) and fc 128 -> 40 run on the
     input as 1x1 images, on the same 256 x 64 harmonic-spectrum input
@@ -413,7 +415,7 @@ def combo_name(flags: dict) -> str:
 
 
 def probe_blocks(config: TrainConfig, blocks, train_images, train_labels, test_images,
-                 test_labels, probe_epochs: int = 20, *, train_stage=None):
+                 test_labels, probe_epochs: int, *, train_stage=None):
     """Linear probe on the frozen features of trained `blocks`; returns
     (train_acc, test_acc).  A `train_stage` from train_greedy's `last_input`
     stands in for blocks 0..L-2 on `train_images`.  Raises
@@ -432,7 +434,7 @@ def probe_blocks(config: TrainConfig, blocks, train_images, train_labels, test_i
 
 
 def evaluate_config(config: TrainConfig, train_images, train_labels, test_images, test_labels,
-                    probe_epochs: int = 20):
+                    probe_epochs: int = PROBE_EPOCHS):
     """Train blocks unsupervised, then probe on frozen features, with the
     training stage input handed over; returns {"train_acc", "test_acc"}."""
     stage = []
@@ -443,7 +445,7 @@ def evaluate_config(config: TrainConfig, train_images, train_labels, test_images
 
 
 def run_ablation(base: TrainConfig, train_images, train_labels, test_images, test_labels,
-                 grid=ABLATION_GRID, probe_epochs: int = 20):
+                 grid=ABLATION_GRID, probe_epochs: int = PROBE_EPOCHS):
     """One desk-scale accuracy per loss/architecture combination."""
     rows = []
     for flags in grid:
@@ -455,7 +457,7 @@ def run_ablation(base: TrainConfig, train_images, train_labels, test_images, tes
 
 def run_transfer(source_images, target_train_images, target_train_labels,
                  target_test_images, target_test_labels, config: TrainConfig,
-                 probe_epochs: int = 20):
+                 probe_epochs: int):
     """Blocks trained on the source set, probe on the target; reports the
     gap against training the blocks directly on the target."""
     blocks, _ = train_greedy(config, source_images)

@@ -85,13 +85,19 @@ def to_pool_major(x):
                      for di, dj in WINDOW])
 
 
+def im2col_conv(x, kernel, bias, stride, pad):
+    """The conv GEMM on im2col's rows at any stride and padding: (4, n, O)."""
+    o, c, kh, kw = kernel.shape
+    return net.im2col(x, kh, kw, stride, pad) @ kernel.transpose(0, 2, 3, 1).reshape(o, -1).T + bias
+
+
 class TestConv:
     def test_matches_naive(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 6, 6))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        q, _ = net.conv_forward(x, k, b, stride=1, padding=1)
+        q, _ = net.conv_forward(x, k, b)
         assert q.shape == (4, 2 * 3 * 3, 4)
         assert np.allclose(to_nchw(q, 2, 6, 6), conv2d_naive(x, k, b), atol=1e-12)
 
@@ -101,7 +107,7 @@ class TestConv:
         x = rng.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2)
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        q, _ = net.conv_forward(x, k, b, stride=1, padding=1)
+        q, _ = net.conv_forward(x, k, b)
         assert np.allclose(to_nchw(q, 2, 6, 6), conv2d_naive(x, k, b), atol=1e-12)
 
     def test_matches_naive_stride_2(self):
@@ -109,7 +115,7 @@ class TestConv:
         x = rng.standard_normal((2, 3, 7, 8))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        q, _ = net.conv_forward(x, k, b, stride=2, padding=1)
+        q = im2col_conv(x, k, b, stride=2, pad=1)
         assert q.shape == (4, 2 * 2 * 2, 4)
         assert np.allclose(to_nchw(q, 2, 4, 4), conv2d_naive(x, k, b, stride=2), atol=1e-12)
 
@@ -119,7 +125,7 @@ class TestConv:
         x = rng.standard_normal((1, 1, 6, 4))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        q, _ = net.conv_forward(x, k, np.zeros(1), stride=1, padding=1)
+        q, _ = net.conv_forward(x, k, np.zeros(1))
         assert np.allclose(to_nchw(q, 1, 6, 4), x, atol=1e-14)
 
     def test_1x1_no_pad(self):
@@ -127,7 +133,7 @@ class TestConv:
         x = rng.standard_normal((2, 4, 4, 2))
         k = rng.standard_normal((2, 4, 1, 1))
         b = np.zeros(2)
-        q, _ = net.conv_forward(x, k, b, stride=1, padding=0)
+        q = im2col_conv(x, k, b, stride=1, pad=0)
         # a 1x1 conv is a channel-mixing matrix multiply
         expected = np.einsum("bchw,oc->bohw", x, k[:, :, 0, 0])
         assert np.allclose(to_nchw(q, 2, 4, 2), expected, atol=1e-12)
@@ -136,9 +142,8 @@ class TestConv:
                                                ((1, 1, 6, 9), 2)])
     def test_odd_output_refused(self, shape, stride):
         # 2x2 pooling needs an even conv output on both sides
-        k = np.zeros((1, 1, 3, 3))
         with pytest.raises(NumericsError):
-            net.conv_forward(np.zeros(shape), k, np.zeros(1), stride=stride, padding=1)
+            net.im2col(np.zeros(shape), 3, 3, stride, 1)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(4)
@@ -148,10 +153,10 @@ class TestConv:
         g = rng.standard_normal((4, 2 * 2 * 2, 3))
 
         def loss(kk, bb, xx):
-            q, _ = net.conv_forward(xx, kk, bb, stride=1, padding=1)
+            q, _ = net.conv_forward(xx, kk, bb)
             return float(np.sum(q * g))
 
-        _, cache = net.conv_forward(x, k, b, stride=1, padding=1)
+        _, cache = net.conv_forward(x, k, b)
         dk = net.conv_backward(g, cache)
         db = g.reshape(-1, 3).sum(axis=0)  # the bias gradient the callers take
         h = 1e-6
@@ -198,14 +203,14 @@ class TestPooling:
         assert np.array_equal(to_nchw(dq, 1, 2, 2), expected)
 
     def test_maxpool_tie_in_binary_step_block(self):
-        # zero kernel and unit bias: binary_step gives 1.0 everywhere, so
+        # zero kernel and unit bias: the conv output is 1.0 everywhere, so
         # every 2x2 window is a four-way tie and only (0, 0) gets gradient
         f = net.MainBlock(kernel=np.zeros((2, 3, 3, 3)), bias=np.ones(2),
                           activation="binary_step")
         x = np.random.default_rng(19).standard_normal((2, 3, 4, 6))
         yp, (_, d_act, pool_cache) = net._main_forward(f, x)
         g = np.ones((2 * 2 * 3, 2))  # the pooled rows of yp (2, 2, 2, 3)
-        da = net.maxpool2x2_backward(g, pool_cache) * d_act
+        da = net.maxpool2x2_backward(g * d_act, pool_cache)
         expected = np.zeros((2, 2, 4, 6))
         expected[:, :, 0::2, 0::2] = 1.0
         assert np.array_equal(to_nchw(da, 2, 4, 6), expected)
@@ -303,14 +308,20 @@ def activate_then_pool(f, x, lam=0.8):
     return yp, {"main.kernel": net.conv_backward(dq, conv_cache), "main.bias": db}
 
 
+# the continuous kinds: on these inputs, pooling first routes every nonzero
+# gradient as activating first does
+CONTINUOUS = ("relu", "leaky_relu", "tanh", "sigmoid")
+
+
 class TestPoolOrder:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", net.POOL_FIRST)
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
     @pytest.mark.parametrize("use_skip", [False, True])
     def test_pool_first_matches_activate_then_pool(self, kind, dtype, use_skip):
         # forced ties: output channel 1 is zero everywhere, and image 0 is
         # blank, so its conv output is the bias in every window; relu adds
-        # zeros of its own
+        # zeros of its own.  binary_step's threshold ties distinct values,
+        # so only its forward pass is compared
         rng = np.random.default_rng(22)
         f = net.init_main_block(3, 4, rng, activation=kind, use_skip=use_skip, dtype=dtype)
         f.kernel[1] = 0.0
@@ -322,23 +333,22 @@ class TestPoolOrder:
         grads, _ = net.block_backward(f, None, x, lam=0.8)
         assert yp.dtype == dtype
         assert np.array_equal(yp, expected_yp)
-        for name in expected:
+        for name in expected if kind in CONTINUOUS else ():
             assert np.array_equal(grads[name], expected[name]), name
 
-    def test_binary_step_keeps_activate_then_pool_routing(self):
+    def test_binary_step_routes_to_pre_activation_max(self):
         # delta kernel: the conv output is the input, all of it in (0, 1),
         # so binary_step makes every window a four-way tie of 1.0 (e.g.
-        # 0.3 and 0.5) and the gradient goes to (0, 0), not the pre-activation max
+        # 0.3 and 0.5); the gradient goes to the pre-activation max, 0.5
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
         f = net.MainBlock(kernel=k, bias=np.zeros(1), activation="binary_step", use_skip=True)
         x = np.random.default_rng(23).uniform(0.05, 0.95, size=(4, 1, 4, 4))
         x[0, 0, :2, :2] = [[0.3, 0.5], [0.1, 0.2]]
-        _, expected = activate_then_pool(f, x)
-        grads, _ = net.block_backward(f, None, x, lam=0.8)
-        assert np.any(expected["main.kernel"])
-        for name in expected:
-            assert np.array_equal(grads[name], expected[name]), name
+        _, (_, d_act, pool_cache) = net._main_forward(f, x)
+        dq = net.maxpool2x2_backward(np.ones((4 * 2 * 2, 1)), pool_cache)
+        assert np.array_equal(to_nchw(dq, 4, 4, 4)[0, 0, :2, :2], [[0.0, 1.0], [0.0, 0.0]])
+        assert np.all(d_act == 1.0)  # straight through: every pooled value is in (0, 1)
 
     @pytest.mark.parametrize("kind", net.ACTIVATIONS)
     @pytest.mark.parametrize("use_skip", [False, True])
@@ -376,19 +386,18 @@ def maxpool_first_winner(a):
 
 
 def reference_block(f, x, lam):
-    """Block f without a head, from conv2d_naive and the loop max-pool in
-    conv -> activation -> maxpool order: (output, main.* gradients)."""
+    """Block f without a head, from conv2d_naive, the loop max-pool of the
+    pre-activations and the activation: (output, main.* gradients)."""
     c = conv2d_naive(x, f.kernel, f.bias)
-    a, d_act = net.activation(f.activation, c)
-    yp, winner = maxpool_first_winner(a)
+    pooled, winner = maxpool_first_winner(c)
+    yp, d_act = net.activation(f.activation, pooled)
     _, dz = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam)
-    dz = dz.reshape(yp.shape)
-    da = np.zeros_like(a)
+    dpooled = dz.reshape(yp.shape) * d_act
+    da = np.zeros_like(c)
     for idx in np.ndindex(yp.shape):
         n, ch, i, j = idx
         di, dj = winner[idx]
-        da[n, ch, 2 * i + di, 2 * j + dj] = dz[idx]
-    da *= d_act
+        da[n, ch, 2 * i + di, 2 * j + dj] = dpooled[idx]
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     h, w = x.shape[2:]
     dk = np.zeros_like(f.kernel)
@@ -403,7 +412,7 @@ class TestBlockReference:
         # dyadic inputs and weights make every conv sum exact in any order,
         # so the forward pass must match bit for bit.  Ties: output channel
         # 1 is the bias everywhere, image 0 is blank, and the inputs take
-        # five values; relu and binary_step add ties of their own
+        # five values
         rng = np.random.default_rng(26)
         x = rng.integers(-2, 3, size=(3, 2, 6, 8)) * 0.5
         x[0] = 0.0

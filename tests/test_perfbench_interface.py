@@ -77,7 +77,7 @@ def test_conv_forward_cache_holds_the_kernel():
     assert cache[2] is kernel
 
 
-def test_tracer_times_every_block():
+def test_tracer_times_every_block(monkeypatch):
     # run.py --trace 1 in-process: an annotator that cannot read its call
     # (im2col's five positional arguments, conv_backward's cache[2]) raises
     # out of train_greedy, and a span that loses its block reads 0 ms
@@ -85,12 +85,22 @@ def test_tracer_times_every_block():
     tracer = spans.Tracer("test")
     x = np.random.default_rng(0).standard_normal((8, 3, 8, 8))
     config = trainer.TrainConfig(channels=(2, 2, 2), epochs=3, batch_size=4, d_proj=4)
+    flops = []  # 2*B*H*W*O*C*9 per call: a stride-1, padding-1 3x3 conv
+    conv_forward = net.conv_forward
+
+    def counting_conv_forward(x, kernel, bias):
+        (b, c, h, w), o = x.shape, kernel.shape[0]
+        flops.append(2 * b * h * w * o * c * 9)
+        return conv_forward(x, kernel, bias)
+
+    monkeypatch.setattr(net, "conv_forward", counting_conv_forward)  # the tracer wraps it
     tracer.install()
     try:
         trainer.train_greedy(config, x)
     finally:
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.names, tracer.arrays())
+    assert flops and metrics["network.conv_forward.gflop"] == sum(flops) / 1e9
     for b in range(spans.N_BLOCKS):
         for kernel in ("im2col", "conv_backward", "maxpool2x2_backward"):
             assert metrics[f"network.{kernel}.b{b}.ms"] > 0, (kernel, b)
