@@ -241,6 +241,8 @@ def config_and_data(cfg: dict, seed: int):
 
 
 def cmd_verify_lemma(args, cfg):
+    if not 1 <= args.M < args.N:
+        raise ConfigError(f"--M must be in [1, --N), got M={args.M}, N={args.N}")
     if args.B <= args.M:
         raise ConfigError(f"--B must be > --M, got B={args.B}, M={args.M}")
     if args.steps < 1:

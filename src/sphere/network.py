@@ -20,6 +20,12 @@ pooled map.  So the conv GEMM yields (4, n, O), max-pooling and its
 backward pass are elementwise work on four contiguous (n, O) blocks, and
 the pooled rows are the channels-last output map and the aux head's input
 rows with no transpose copy.  `flatten` copies into NCHW order.
+
+Workspace: block_backward takes an optional `work` dict, one per training
+stage, whose buffers hold the padded input, the im2col rows and the conv
+output from step to step; each is replaced when its shape or dtype
+changes.  The max-pool backward pass writes its gradient over the conv
+output.  Results do not depend on `work`.
 """
 
 import math
@@ -100,42 +106,57 @@ def _out_hw(h, w, kh, kw, stride, pad):
     return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
 
-def im2col(x, kh, kw, stride, pad):
+def _buffer(work, key, shape, dtype, make=np.empty):
+    """work[key] if it has this shape and dtype, else a new array from make
+    (kept in work when there is one)."""
+    if work is None:
+        return make(shape, dtype)
+    buf = work.get(key)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = work[key] = make(shape, dtype)
+    return buf
+
+
+def im2col(x, kh, kw, stride, pad, *, work=None):
     """Pool-major patch rows of x (B,C,H,W): (4, n, kh*kw*C) with n =
     B*OH/2*OW/2.  Row r of quarter k is the patch of output position
     (2i+di, 2j+dj), where (b, i, j) is r's place in the pooled map and
     (di, dj) = _WINDOW[k]; columns are in (kh, kw, C) order.  One copy from
-    one strided view of the channels-last padded input."""
+    one strided view of the channels-last padded input.  With a workspace
+    dict, the padded input and the rows are its buffers."""
     b, c, h, w = x.shape
     oh, ow = _out_hw(h, w, kh, kw, stride, pad)
     if oh % 2 or ow % 2:
         raise NumericsError(f"2x2 pooling needs an even conv output, got {oh}x{ow}")
-    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = _buffer(work, "xp", (b, h + 2 * pad, w + 2 * pad, c), x.dtype, np.zeros)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)  # the border stays zero
     sb, sh, sw, sc = xp.strides
     s = stride
     shape = (2, 2, b, oh // 2, ow // 2, kh, kw, c)
     win = as_strided(xp, shape, (s * sh, s * sw, sb, 2 * s * sh, 2 * s * sw, sh, sw, sc),
                      writeable=False)
-    cols = np.empty(shape, dtype=x.dtype)
+    cols = _buffer(work, "cols", shape, x.dtype)
     cols[...] = win
     return cols.reshape(4, -1, kh * kw * c)
 
 
-def conv_forward(x, kernel, bias):
+def conv_forward(x, kernel, bias, *, work=None):
     """Stride-1 cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw),
     zero-padded by 1.
 
     Returns (q, cache): q is the (4, n, O) pool-major output rows (see
     im2col), and cache = ((B, OH/2, OW/2), cols, kernel) feeds
-    conv_backward; its first entry shapes pooled rows into a map.
+    conv_backward; its first entry shapes pooled rows into a map.  With a
+    workspace dict (see im2col), cols and q are its buffers.
     """
     b, c, h, w = x.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise NumericsError(f"channel mismatch: input {c}, kernel {ck}")
     oh, ow = _out_hw(h, w, kh, kw, 1, 1)
-    cols = im2col(x, kh, kw, 1, 1)
-    q = cols @ kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
+    cols = im2col(x, kh, kw, 1, 1, work=work)
+    wt = kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
+    q = np.matmul(cols, wt, out=_buffer(work, "q", (*cols.shape[:2], o), np.result_type(cols, wt)))
     q += bias
     return q, ((b, oh // 2, ow // 2), cols, kernel)
 
@@ -170,17 +191,20 @@ def maxpool2x2_forward(q):
 
 def maxpool2x2_backward(grad_out, cache):
     """Route each window's gradient (n, C) to its first maximum in _WINDOW
-    order; returns the (4, n, C) gradient of q."""
+    order; returns the (4, n, C) gradient of q.
+
+    Consumes its cache: each quarter of q is overwritten with its routed
+    gradient once it has been compared with the pooled max, and q itself
+    is returned."""
     q, out = cache
-    dq = np.empty_like(q, dtype=grad_out.dtype)
     unrouted = np.ones_like(out, dtype=bool)   # windows with no winner yet
     for k in range(3):
         win = q[k] == out
         win &= unrouted
-        np.multiply(grad_out, win, out=dq[k])
+        np.multiply(grad_out, win, out=q[k])
         unrouted ^= win
-    np.multiply(grad_out, unrouted, out=dq[3])
-    return dq
+    np.multiply(grad_out, unrouted, out=q[3])
+    return q
 
 
 def avgpool2x2(x):
@@ -271,12 +295,12 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
     )
 
 
-def _main_forward(f: MainBlock, x, train: bool = True):
+def _main_forward(f: MainBlock, x, train: bool = True, *, work=None):
     """Main-path output of block f on x and, when train is set, the cache
     block_backward reads: (conv cache, activation derivative, pool cache).
     With train False the cache is None, and no derivative, im2col rows or
-    pool cache outlive their use."""
-    q, conv_cache = conv_forward(x, f.kernel, f.bias)
+    pool cache outlive their use.  `work` is conv_forward's workspace."""
+    q, conv_cache = conv_forward(x, f.kernel, f.bias, work=work)
     grid = conv_cache[0]
     if not train:
         conv_cache = None  # frees the im2col rows before the activation
@@ -300,7 +324,9 @@ def _aux_forward(phi: AuxBlock, yp):
     rows = yp.transpose(0, 2, 3, 1).reshape(b * h * w, c)
     conv_caches = []
     for k, bias in zip(phi.conv_kernels, phi.conv_biases):
-        a, d_act = activation(phi.activation, rows @ k.reshape(k.shape[0], -1).T + bias)
+        pre = rows @ k.reshape(k.shape[0], -1).T
+        pre += bias
+        a, d_act = activation(phi.activation, pre)
         conv_caches.append((rows, d_act))
         rows = a
     g = rows.reshape(b, h * w, -1).mean(axis=1)
@@ -319,24 +345,29 @@ def _aux_backward(phi: AuxBlock, cache, dz, hw: int):
     for i in range(len(conv_caches) - 1, -1, -1):
         rows, da = conv_caches[i]
         k = phi.conv_kernels[i]
-        d_pre = d_rows * da
-        grads[f"conv{i}_kernel"] = (d_pre.T @ rows).reshape(k.shape)
-        grads[f"conv{i}_bias"] = d_pre.sum(axis=0)
-        d_rows = d_pre @ k.reshape(k.shape[0], -1)
+        d_rows *= da  # d_rows is fresh: from np.repeat or the matmul below
+        grads[f"conv{i}_kernel"] = (d_rows.T @ rows).reshape(k.shape)
+        grads[f"conv{i}_bias"] = d_rows.sum(axis=0)
+        d_rows = d_rows @ k.reshape(k.shape[0], -1)
     return grads, d_rows
 
 
 def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
-                   use_oja: bool = False):
+                   use_oja: bool = False, *, work=None):
     """Compute the block-local loss on (Z, flattened input) and reverse-mode
     gradients for every parameter of f and phi.
 
     Returns (grads, bundle) where grads maps "main.<name>" / "aux.<name>"
     to arrays shaped like the parameters.  No input gradient is produced.
+    `work` is conv_forward's optional workspace, shared by the steps of a
+    stage; the max-pool backward pass writes over its conv output.
     """
     if x.shape[0] < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
-    yp, (conv_cache, d_act, pool_cache) = _main_forward(f, x)
+    # the input Gram first: its flatten copy and row-normalised temporaries
+    # are freed before the im2col rows and the conv output exist
+    kx = input_gram(flatten(x))
+    yp, (conv_cache, d_act, pool_cache) = _main_forward(f, x, work=work)
     if phi is None:
         z = flatten(yp)
         if lam != 0.0 and z.shape[1] > ORTH_WIDTH_CAP:
@@ -347,8 +378,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     else:
         z, aux_cache = _aux_forward(phi, yp)
 
-    bundle, dz = structural_grads(z, input_gram(flatten(x)), lam, use_sphere=use_sphere,
-                                  use_oja=use_oja)
+    bundle, dz = structural_grads(z, kx, lam, use_sphere=use_sphere, use_oja=use_oja)
     b, c, h, w = yp.shape
     if phi is None:  # dz is in NCHW order: reorder it into pooled rows
         grads, g = {}, dz.reshape(b, c, h, w).transpose(0, 2, 3, 1).reshape(-1, c)
@@ -358,9 +388,10 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
 
     # skip path (if any) is detached: g, the gradient of the pooled rows,
     # passes to the main path only.  Each window routes its gradient to one
-    # row of dq, so the bias gradient is the sum of the n routed gradients:
-    # per image, then over the batch, which at the block shapes is as fast
-    # as one pass over the n rows and 3-11x more accurate in float32.
+    # row of dq (written over the conv output), so the bias gradient is the
+    # sum of the n routed gradients: per image, then over the batch, which
+    # at the block shapes is as fast as one pass over the n rows and 3-11x
+    # more accurate in float32.
     g *= d_act  # g is fresh: built from dz or d_rows above
     dq = maxpool2x2_backward(g, pool_cache)
     grads["main.kernel"] = conv_backward(dq, conv_cache)

@@ -218,6 +218,7 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
         total_steps = epochs * n_batches
         step = 0
         batch_rng = np.random.default_rng(config.seed + 1000 * (bi + 1))
+        work = {}  # block_backward's buffers, shared by every step of the stage
         for epoch in range(epochs):
             t0 = time.monotonic()
             sums = np.zeros(3)
@@ -226,7 +227,7 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
             for idx in batches:
                 grads, bundle = net.block_backward(
                     f, phi, feats[idx], lam,
-                    use_sphere=config.use_sphere, use_oja=config.use_oja)
+                    use_sphere=config.use_sphere, use_oja=config.use_oja, work=work)
                 if not math.isfinite(bundle.total):
                     raise TrainingDivergedError(f"non-finite loss at block {bi}, step {step}")
                 lr = cosine_lr(step, total_steps, config.lr)
@@ -243,6 +244,7 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
                 "lr": cosine_lr(step, total_steps, config.lr),
                 "wall_ms": (time.monotonic() - t0) * 1e3,
             })
+        del work  # freed before the next stage's re-forward
     if last_input is not None:
         last_input.append(feats)
     return blocks, records

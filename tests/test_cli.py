@@ -253,9 +253,15 @@ class TestArtifacts:
         assert "Permission denied" in record["message"]
         assert os.listdir(tmp_path / "old") == []
 
-    @pytest.mark.parametrize("flags", [["--B", "8"], ["--B", "1"], ["--steps", "0"]],
+    @pytest.mark.parametrize("flags", [["--B", "8"], ["--B", "1"], ["--steps", "0"],
+                                       ["--M", "0", "--B", "1"], ["--M", "40"]],  # N is 32
                              ids=" ".join)
-    def test_verify_lemma_invalid_flag_exit_code(self, tmp_path, capsys, flags):
+    def test_verify_lemma_invalid_flag_exit_code(self, tmp_path, capsys, monkeypatch, flags):
+        # refused before any data is made: synth_gaussian would warn on B=1
+        def no_data(spec):
+            raise AssertionError("synth_gaussian called")
+
+        monkeypatch.setattr(datamod, "synth_gaussian", no_data)
         out = tmp_path / "r"
         assert main(["--out", str(out), "verify-lemma", "--M", "8", *flags]) == 2
         record = refusal(capsys, out)

@@ -215,6 +215,13 @@ class TestPooling:
         expected[:, :, 0::2, 0::2] = 1.0
         assert np.array_equal(to_nchw(da, 2, 4, 6), expected)
 
+    def test_maxpool_backward_writes_into_q(self):
+        # the gradient of q is written over q: no second (4, n, C) array
+        q = to_pool_major(np.random.default_rng(8).standard_normal((2, 3, 4, 6)))
+        out, cache = net.maxpool2x2_forward(q)
+        dq = net.maxpool2x2_backward(np.ones_like(out), cache)
+        assert np.shares_memory(dq, q)
+
     def test_avgpool(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         out = net.avgpool2x2(x)
@@ -468,6 +475,34 @@ class TestBlockBackward:
                 g = grads[name][i]
                 denom = max(abs(fd), abs(g), 1e-8)
                 assert abs(fd - g) / denom < 1e-4, f"{name}[{i}]: fd={fd} g={g}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_skip", [False, True])
+    @pytest.mark.parametrize("depth", [None, 1])
+    @pytest.mark.parametrize("activation", ["leaky_relu", "binary_step"])
+    def test_workspace_matches_fresh_buffers(self, activation, depth, use_skip, dtype):
+        # one work dict over two batches of one shape, then a smaller batch
+        # that replaces every buffer: each call equals a call without it
+        rng = np.random.default_rng(20)
+        f = net.init_main_block(3, 8, rng, activation=activation, use_skip=use_skip, dtype=dtype)
+        phi = None if depth is None else net.init_aux_block(
+            8, 12, depth, rng, activation=activation, dtype=dtype)
+        work, kept = {}, {}
+        for b in (5, 5, 3):
+            x = rng.standard_normal((b, 3, 8, 8)).astype(dtype)
+            grads, bundle = net.block_backward(f, phi, x, lam=0.8, work=work)
+            want_grads, want_bundle = net.block_backward(f, phi, x, lam=0.8)
+            assert bundle == want_bundle
+            assert grads.keys() == want_grads.keys()
+            for name, g in grads.items():
+                assert g.dtype == want_grads[name].dtype
+                assert np.array_equal(g, want_grads[name]), name
+            xp = work["xp"]
+            assert not xp[:, [0, -1]].any() and not xp[:, :, [0, -1]].any()  # zero border
+            assert xp[:, 1:-1, 1:-1].any()
+            if kept:  # the second batch reuses every buffer, the third replaces them
+                assert all((work[k] is kept[k]) == (b == 5) for k in work)
+            kept = dict(work)
 
     def test_oja_variant_fd(self):
         rng = np.random.default_rng(12)

@@ -88,10 +88,10 @@ def test_tracer_times_every_block(monkeypatch):
     flops = []  # 2*B*H*W*O*C*9 per call: a stride-1, padding-1 3x3 conv
     conv_forward = net.conv_forward
 
-    def counting_conv_forward(x, kernel, bias):
+    def counting_conv_forward(x, kernel, bias, **kw):
         (b, c, h, w), o = x.shape, kernel.shape[0]
         flops.append(2 * b * h * w * o * c * 9)
-        return conv_forward(x, kernel, bias)
+        return conv_forward(x, kernel, bias, **kw)
 
     monkeypatch.setattr(net, "conv_forward", counting_conv_forward)  # the tracer wraps it
     tracer.install()
