@@ -47,11 +47,15 @@ def sphere_loss(z, x, normalize: bool = True) -> float:
 
 
 def input_gram(x, normalize: bool = True) -> np.ndarray:
-    """Batch Gram K_X = X X^T of a flattened block input, row-normalized
-    first on the training path: the `kx` argument of structural_grads."""
+    """Batch Gram K_X = X X^T of a block input's (B, D) rows in any column
+    order, the `kx` of structural_grads; on the training path D (X X^T) D,
+    D = diag(1 / max(row norm, DEFAULT_EPS)) with the norms read off the
+    diagonal.  Raises NumericsError when K_X is not finite."""
+    k = as_matrix(x @ x.T)
     if normalize:
-        x = row_normalize(x)
-    return x @ x.T
+        d = 1.0 / np.maximum(np.sqrt(np.diagonal(k)), DEFAULT_EPS)
+        k *= np.outer(d, d)
+    return k
 
 
 def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,

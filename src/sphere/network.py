@@ -19,7 +19,9 @@ pooling window outermost and each quarter's rows in (b, i, j) order of the
 pooled map.  So the conv GEMM yields (4, n, O), max-pooling and its
 backward pass are elementwise work on four contiguous (n, O) blocks, and
 the pooled rows are the channels-last output map and the aux head's input
-rows with no transpose copy.  `flatten` copies into NCHW order.
+rows with no transpose copy.  The step's batch Grams ignore column order,
+so they read rows in memory order: K_X the input's own (B, D) row view,
+and Z without a head the pooled rows viewed as (B, h*w*C).
 
 Workspace: block_backward takes an optional `work` dict, one per training
 stage, whose buffers hold the padded input, the im2col rows and the conv
@@ -70,7 +72,7 @@ def activation(kind: str, x: np.ndarray, grad: bool = True):
     elif kind == "tanh":
         y = np.tanh(x)
     elif kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-x))
+        y = 0.5 + 0.5 * np.tanh(0.5 * x)  # 1/(1+exp(-x)) with no exp to overflow
     elif kind == "binary_step":
         y = _indicator(x > 0, x)
     else:
@@ -212,11 +214,6 @@ def avgpool2x2(x):
     return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
 
-def flatten(x):
-    """FeatureMap (B,C,H,W) -> Matrix (B, C*H*W)."""
-    return x.reshape(x.shape[0], -1)
-
-
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -316,12 +313,10 @@ def _main_forward(f: MainBlock, x, train: bool = True, *, work=None):
     return p, (conv_cache, d_act, pool_cache) if train else None
 
 
-def _aux_forward(phi: AuxBlock, yp):
-    """Z of the projection head on main output yp (B, C, H, W); the cache
-    holds each 1x1 conv's input rows and activation derivative.  The rows
-    are a free view when yp is channels-last in memory."""
-    b, c, h, w = yp.shape
-    rows = yp.transpose(0, 2, 3, 1).reshape(b * h * w, c)
+def _aux_forward(phi: AuxBlock, rows, hw: int):
+    """Z of the projection head on the (B*hw, C) rows of a main output, hw
+    rows per image in (b, i, j) order; the cache holds each 1x1 conv's
+    input rows and activation derivative."""
     conv_caches = []
     for k, bias in zip(phi.conv_kernels, phi.conv_biases):
         pre = rows @ k.reshape(k.shape[0], -1).T
@@ -329,7 +324,7 @@ def _aux_forward(phi: AuxBlock, yp):
         a, d_act = activation(phi.activation, pre)
         conv_caches.append((rows, d_act))
         rows = a
-    g = rows.reshape(b, h * w, -1).mean(axis=1)
+    g = rows.reshape(-1, hw, rows.shape[1]).mean(axis=1)
     z = g @ phi.fc_w + phi.fc_b
     return z, (conv_caches, g)
 
@@ -354,7 +349,7 @@ def _aux_backward(phi: AuxBlock, cache, dz, hw: int):
 
 def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
                    use_oja: bool = False, *, work=None):
-    """Compute the block-local loss on (Z, flattened input) and reverse-mode
+    """Compute the block-local loss on (Z, block input) and reverse-mode
     gradients for every parameter of f and phi.
 
     Returns (grads, bundle) where grads maps "main.<name>" / "aux.<name>"
@@ -364,24 +359,25 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     """
     if x.shape[0] < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
-    # the input Gram first: its flatten copy and row-normalised temporaries
-    # are freed before the im2col rows and the conv output exist
-    kx = input_gram(flatten(x))
+    # K_X from x's rows in memory order: free for a C-contiguous or channels-last x
+    nhwc = x.transpose(0, 2, 3, 1)
+    kx = input_gram((nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1))
     yp, (conv_cache, d_act, pool_cache) = _main_forward(f, x, work=work)
+    b, c, h, w = yp.shape
+    rows = yp.transpose(0, 2, 3, 1).reshape(-1, c)  # the pooled rows: a free view
     if phi is None:
-        z = flatten(yp)
+        z = rows.reshape(b, -1)
         if lam != 0.0 and z.shape[1] > ORTH_WIDTH_CAP:
             raise MemoryConstraintError(
                 f"orthogonality loss on full-width features ({z.shape[1]} dims) "
                 "requires the auxiliary projection; memory constraint"
             )
     else:
-        z, aux_cache = _aux_forward(phi, yp)
+        z, aux_cache = _aux_forward(phi, rows, h * w)
 
     bundle, dz = structural_grads(z, kx, lam, use_sphere=use_sphere, use_oja=use_oja)
-    b, c, h, w = yp.shape
-    if phi is None:  # dz is in NCHW order: reorder it into pooled rows
-        grads, g = {}, dz.reshape(b, c, h, w).transpose(0, 2, 3, 1).reshape(-1, c)
+    if phi is None:  # dz is in pooled-row order
+        grads, g = {}, dz.reshape(-1, c)
     else:
         aux_grads, g = _aux_backward(phi, aux_cache, dz, h * w)
         grads = {f"aux.{k}": v for k, v in aux_grads.items()}

@@ -251,8 +251,9 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
 
 
 def features(blocks, images) -> np.ndarray:
-    """Flattened post-pool output of the final block."""
-    return net.flatten(_forward(blocks, images))
+    """Post-pool output of the final block, flattened in NCHW column order
+    (the probe's initial weights pair with these columns)."""
+    return _forward(blocks, images).reshape(len(images), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +324,8 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k: int = 5) -> 
 
 
 def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0):
-    """Train a single dense linear map W against the raw structural loss
-    with full-batch AdamW, lr 1e-2 on a cosine schedule.
+    """Train a dense linear map W, from the orthonormal Q of a Gaussian draw,
+    against the raw structural loss: full-batch AdamW, cosine lr from 1e-2.
 
     Returns (w, history): history[i] is the raw sphere loss at the weights
     that step i's gradient was taken at.
@@ -332,7 +333,7 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
     rng = np.random.default_rng(seed)
-    params = {"w": rng.standard_normal((n, m)) * (1.0 / math.sqrt(n))}
+    params = {"w": np.linalg.qr(rng.standard_normal((n, m)))[0]}
     opt = AdamW(params, lr=1e-2)
     kx = input_gram(x, normalize=False)
     history = []
@@ -350,7 +351,7 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
 def run_linearity_study(epochs: int, seed: int):
     """Train a linear branch (64 -> 40) and a nonlinear branch, an AuxBlock
     with two tanh 1x1 convs (64 -> 128 -> 128) and fc 128 -> 40 run on the
-    input as 1x1 images, on the same 256 x 64 harmonic-spectrum input
+    input rows as 1x1 images, on the same 256 x 64 harmonic-spectrum input
     under the raw structural-matching loss; log CKA between their outputs
     per epoch and the final alignment of the top 36 SVD components
     (computed in sample space, where the two branches are comparable).
@@ -371,14 +372,13 @@ def run_linearity_study(epochs: int, seed: int):
                        conv_biases=[np.zeros(128), np.zeros(128)],
                        fc_w=w2, fc_b=np.zeros(m), activation="tanh")
     nl_opt = AdamW(phi.params(), lr=3e-3)
-    x_img = x[:, :, None, None]
 
     kx = input_gram(x, normalize=False)
     cka_curve = []
     steps_per_epoch = 40
     for epoch in range(epochs + 1):
         z_lin = x @ lin["w"]
-        z_nl, _ = net._aux_forward(phi, x_img)
+        z_nl, _ = net._aux_forward(phi, x, 1)
         cka_curve.append(cka(z_lin, z_nl))
         if epoch == epochs:
             break
@@ -387,13 +387,13 @@ def run_linearity_study(epochs: int, seed: int):
             _, dz_lin = structural_grads(x @ lin["w"], kx, normalize=False)
             lin_opt.step({"w": x.T @ dz_lin},
                          lr=cosine_lr(step, epochs * steps_per_epoch, 2e-2))
-            z, cache = net._aux_forward(phi, x_img)
+            z, cache = net._aux_forward(phi, x, 1)
             _, dz = structural_grads(z, kx, normalize=False)
             nl_opt.step(net._aux_backward(phi, cache, dz, 1)[0],
                         lr=cosine_lr(step, epochs * steps_per_epoch, 3e-3))
 
     z_lin = x @ lin["w"]
-    z_nl, _ = net._aux_forward(phi, x_img)
+    z_nl, _ = net._aux_forward(phi, x, 1)
     align = svd_alignment(z_lin.T, z_nl.T, k=36)
     return cka_curve, align
 

@@ -141,6 +141,11 @@ class TestArtifacts:
         lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert all(json.loads(l) for l in lines)
 
+    def test_verify_lemma_seed_84_converges(self, tmp_path):
+        # a saddle: a scaled Gaussian start leaves W on v17 in place of v16 (ratio 1.0543)
+        assert main(["--out", str(tmp_path / "r"), "--seed", "84", "verify-lemma",
+                     "--M", "16"]) == 0
+
     def test_identical_invocations_byte_identical_summaries(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
@@ -299,6 +304,21 @@ class TestArtifacts:
         out = tmp_path / "r"
         assert main(["--out", str(out), *TINY, "train"]) == 2
         assert refusal(capsys, out) == {"error": error.__name__, "message": "non-finite"}
+
+    # numpy's RuntimeWarnings still come before the error line: ROADMAP item 4
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("probe", [[], ["--probe"]], ids=["train", "train --probe"])
+    def test_overflowing_stage_input_exit_code(self, tmp_path, capsys, probe):
+        # at lr 1e300 block 0's weights stay finite, but block 1's input
+        # Gram overflows: the run ends there, not in the probe's optimizer
+        out = tmp_path / "r"
+        assert main(["--out", str(out), "--set", "data.n_per_class=2",
+                     "--set", "data.n_test_per_class=1", "--set", "train.channels=4,8",
+                     "--set", "train.epochs=2", "--set", "train.d_proj=8",
+                     "--set", "train.lr=1e300", "train", *probe]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "NumericsError"
+        assert not out.exists()
 
     def test_mutated_blocks_exit_code(self, tmp_path, capsys, monkeypatch):
         trained = []

@@ -196,6 +196,33 @@ class TestTotalLoss:
         assert bundle.total == pytest.approx(sphere_loss(z, x))
 
 
+class TestInputGram:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_normalized_rows_in_any_column_order(self, dtype):
+        # rows 2 and 3 are below DEFAULT_EPS: the zero row stays zero and the
+        # small one is scaled by 1/DEFAULT_EPS, as row_normalize does
+        rng = np.random.default_rng(18)
+        x = (rng.standard_normal((6, 40)) * rng.uniform(0.1, 10.0, size=(6, 1))).astype(dtype)
+        x[2] = 0.0
+        x[3] = 1e-10
+        xn = row_normalize(x)
+        want = xn @ xn.T
+        tol = 10 * np.finfo(dtype).eps
+        for cols in (np.arange(40), rng.permutation(40)):
+            kx = input_gram(x[:, cols])
+            assert kx.dtype == dtype
+            assert np.allclose(kx, want, rtol=0, atol=tol)
+            assert not kx[2].any()
+            assert kx[3, 3] == pytest.approx(np.sum(xn[3] ** 2), rel=tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])  # 1e300 overflows in X X^T
+    def test_non_finite_raises(self, bad):
+        x = np.random.default_rng(19).standard_normal((4, 5))
+        x[1, 2] = bad
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            input_gram(x)
+
+
 class TestStructuralGrads:
     @pytest.mark.parametrize("m", [5, 24])  # M < B and M > B
     def test_bundle_matches_reference_losses(self, m):

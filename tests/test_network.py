@@ -49,6 +49,18 @@ class TestActivations:
         fd = (net.activation(kind, x + h)[0] - net.activation(kind, x - h)[0]) / (2 * h)
         assert np.allclose(d, fd, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
+    def test_large_inputs_raise_no_floating_point_error(self, kind, dtype):
+        # 1/(1+exp(-x)) overflows in exp at x = -1e4, where sigmoid is 0
+        x = np.array([[-1e4, -100.0, 100.0, 1e4]], dtype=dtype)
+        with np.errstate(all="raise"):
+            y, d = net.activation(kind, x)
+        assert y.dtype == d.dtype == dtype
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(d))
+        if kind == "sigmoid":
+            assert np.array_equal(y, [[0.0, 0.0, 1.0, 1.0]])
+
     def test_binary_step_straight_through(self):
         x = np.array([[-2.0, -0.5, 0.5, 2.0]])
         _, d = net.activation("binary_step", x)
@@ -83,6 +95,12 @@ def to_pool_major(x):
     c = x.shape[1]
     return np.stack([x[:, :, di::2, dj::2].transpose(0, 2, 3, 1).reshape(-1, c)
                      for di, dj in WINDOW])
+
+
+def pooled_rows(yp):
+    """(B, C, h, w) map -> its (B*h*w, C) rows in (b, i, j) order, as the
+    block step reads them."""
+    return yp.transpose(0, 2, 3, 1).reshape(-1, yp.shape[1])
 
 
 def im2col_conv(x, kernel, bias, stride, pad):
@@ -227,11 +245,6 @@ class TestPooling:
         out = net.avgpool2x2(x)
         assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
-    def test_flatten_round_trip(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((3, 4, 2, 2))
-        assert np.array_equal(net.flatten(x).reshape(x.shape), x)
-
 
 class TestBlockForward:
     def test_shapes(self):
@@ -240,7 +253,7 @@ class TestBlockForward:
         phi = net.init_aux_block(8, d_proj=16, depth=1, rng=rng)
         x = rng.standard_normal((4, 3, 8, 8))
         yp, _ = net._main_forward(f, x)
-        z, _ = net._aux_forward(phi, yp)
+        z, _ = net._aux_forward(phi, pooled_rows(yp), 16)
         assert yp.shape == (4, 8, 4, 4)
         assert z.shape == (4, 16)
 
@@ -255,7 +268,7 @@ class TestBlockForward:
         for k, b in zip(phi.conv_kernels, phi.conv_biases):
             h = net.activation(phi.activation, conv2d_naive(h, k, b, pad=0))[0]
         expected = h.mean(axis=(2, 3)) @ phi.fc_w + phi.fc_b
-        z, _ = net._aux_forward(phi, yp)
+        z, _ = net._aux_forward(phi, pooled_rows(yp), 16)
         assert np.allclose(z, expected, atol=1e-12)
 
     @pytest.mark.parametrize("use_skip", [False, True])
@@ -272,12 +285,13 @@ class TestBlockForward:
         assert yp.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_no_phi_returns_flat_main(self):
-        # without a head, the loss is taken on the flattened main output
+        # without a head, the loss is taken on the main output's pooled rows
         rng = np.random.default_rng(9)
         f = net.init_main_block(3, 4, rng)
         x = rng.standard_normal((2, 3, 6, 6))
         yp, _ = net._main_forward(f, x)
-        expected, _ = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam=0.8)
+        z = pooled_rows(yp).reshape(2, -1)
+        expected, _ = structural_grads(z, input_gram(x.reshape(2, -1)), lam=0.8)
         _, bundle = net.block_backward(f, None, x, lam=0.8)
         assert bundle == expected
 
@@ -307,8 +321,8 @@ def activate_then_pool(f, x, lam=0.8):
         skip = net.avgpool2x2(x)
         n = min(skip.shape[1], p.shape[1])
         yp[:, :n] += skip[:, :n]
-    _, dz = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam)
-    g = dz.reshape(yp.shape).transpose(0, 2, 3, 1).reshape(p.shape)
+    _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), input_gram(x.reshape(b, -1)), lam)
+    g = dz.reshape(p.shape)
     dq = net.maxpool2x2_backward(g, pool_cache) * d_act
     # each window's one routed gradient, summed per image, then over images
     db = dq.sum(axis=0).reshape(b, -1, p.shape[1]).sum(axis=1).sum(axis=0)
@@ -398,8 +412,9 @@ def reference_block(f, x, lam):
     c = conv2d_naive(x, f.kernel, f.bias)
     pooled, winner = maxpool_first_winner(c)
     yp, d_act = net.activation(f.activation, pooled)
-    _, dz = structural_grads(net.flatten(yp), input_gram(net.flatten(x)), lam)
-    dpooled = dz.reshape(yp.shape) * d_act
+    b = len(x)
+    _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), input_gram(x.reshape(b, -1)), lam)
+    dpooled = dz.reshape(yp.transpose(0, 2, 3, 1).shape).transpose(0, 3, 1, 2) * d_act
     da = np.zeros_like(c)
     for idx in np.ndindex(yp.shape):
         n, ch, i, j = idx
@@ -503,6 +518,20 @@ class TestBlockBackward:
             if kept:  # the second batch reuses every buffer, the third replaces them
                 assert all((work[k] is kept[k]) == (b == 5) for k in work)
             kept = dict(work)
+
+    @pytest.mark.parametrize("depth", [None, 1])
+    def test_input_layout_changes_only_rounding(self, depth):
+        # K_X reads a channels-last input's rows in (h, w, c) column order
+        # and a C-contiguous one's in (c, h, w) order: the same Gram
+        rng = np.random.default_rng(27)
+        f = net.init_main_block(3, 8, rng)
+        phi = None if depth is None else net.init_aux_block(8, 12, depth, rng)
+        x = rng.standard_normal((5, 8, 8, 3)).transpose(0, 3, 1, 2)
+        grads, bundle = net.block_backward(f, phi, x, lam=0.8)
+        want_grads, want = net.block_backward(f, phi, np.ascontiguousarray(x), lam=0.8)
+        assert bundle.total == pytest.approx(want.total, rel=1e-13)
+        for name, g in grads.items():
+            assert np.allclose(g, want_grads[name], rtol=1e-10, atol=1e-13), name
 
     def test_oja_variant_fd(self):
         rng = np.random.default_rng(12)
