@@ -8,7 +8,8 @@ Every term is evaluated through B x B batch Grams (or Z's singular
 values), never an M x M matrix.  Two evaluation paths exist on purpose:
 
 * the training path (``normalize=True``, the default) row-normalizes its
-  inputs first, which bounds loss magnitudes across datasets;
+  inputs, which bounds loss magnitudes across datasets, with the norms read
+  off the Gram's diagonal and the Jacobian folded into B x B coefficients;
 * the linear-analysis path (``normalize=False``) uses the raw matrices so
   it matches the closed-form SVD oracle exactly.
 """
@@ -53,9 +54,17 @@ def input_gram(x, normalize: bool = True) -> np.ndarray:
     diagonal.  Raises NumericsError when K_X is not finite."""
     k = as_matrix(x @ x.T)
     if normalize:
-        d = 1.0 / np.maximum(np.sqrt(np.diagonal(k)), DEFAULT_EPS)
-        k *= np.outer(d, d)
+        _normalize_gram(k)
     return k
+
+
+def _normalize_gram(k):
+    """Scale k = X X^T in place to the Gram of X's rows over max(norm,
+    DEFAULT_EPS); returns the norms and the row scales."""
+    n = np.sqrt(np.diagonal(k))
+    d = 1.0 / np.maximum(n, DEFAULT_EPS)
+    k *= np.outer(d, d)
+    return n, d
 
 
 def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
@@ -65,18 +74,17 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
     The matching term is ||K_Z - K_X||_F^2 (use_sphere), the ridge-Oja
     trace 1/4 Tr(D (K_X + rI)^{-1} D) with D = K_Z - K_X (use_oja), or
     their sum; the bundle's sphere slot reports it.  `kx` must come from
-    input_gram with the same `normalize`.  With normalize=True, Z is
-    row-normalized first and dL/dZ includes that map's Jacobian.
+    input_gram with the same `normalize`.  With normalize=True, Z's rows
+    are normalized as input_gram does and dL/dZ includes that map's Jacobian.
 
-    All terms use K_Z = Z Z^T: the penalty is ||K_Z||^2 - 2 tr K_Z + M, its
-    gradient 4 (K_Z - I) Z, and dL/dZ one B x B coefficient matrix times Z.
+    All terms use K_Z: the penalty is ||K_Z||^2 - 2 tr K_Z + M, its gradient
+    4 (K_Z - I) Z, and dL/dZ = C Z, so only Z Z^T and C Z read Z; with
+    normalize=True, C = S (A - diag(rowsum(A * K_Z))) S, S the row scaling
+    and A the coefficients of the normalized rows (clamped rows skip the sum).
     """
+    kz = z @ z.T
     if normalize:
-        zn = np.linalg.norm(z, axis=1, keepdims=True)
-        z_hat = z / np.maximum(zn, DEFAULT_EPS)
-    else:
-        z_hat = z
-    kz = z_hat @ z_hat.T
+        zn, scale = _normalize_gram(kz)
     kd = kz - kx
     orth = float(np.sum(kz * kz) - 2.0 * np.trace(kz) + z.shape[1])
     match = float(np.sum(kd * kd)) if use_sphere else 0.0
@@ -88,14 +96,12 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
         match += 0.25 * float(np.trace(ad @ kd))
         coef = coef + 0.5 * (ad + ad.T)
     if lam != 0.0:
-        kz[np.diag_indices_from(kz)] -= 1.0
-        coef = coef + lam * 4.0 * kz
-    dz = coef @ z_hat
+        coef = coef + lam * 4.0 * (kz - np.eye(len(kz), dtype=kz.dtype))
     if normalize:
         # rows clamped to norm DEFAULT_EPS were scaled by the constant 1/DEFAULT_EPS
-        dot = np.sum(dz * z_hat, axis=1, keepdims=True) * (zn >= DEFAULT_EPS)
-        dz = (dz - dot * z_hat) / np.maximum(zn, DEFAULT_EPS)
-    return LossBundle(sphere=match, orth=orth, total=match + lam * orth), dz
+        coef[np.diag_indices_from(coef)] -= np.sum(coef * kz, axis=1) * (zn >= DEFAULT_EPS)
+        coef *= np.outer(scale, scale)
+    return LossBundle(sphere=match, orth=orth, total=match + lam * orth), coef @ z
 
 
 def sphere_grad_linear(x, w) -> np.ndarray:

@@ -22,7 +22,7 @@ class OptimizerError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """Loss or parameters became non-finite during training."""
 
 
 class FrozenBlocksMutatedError(RuntimeError):
@@ -244,6 +244,10 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
                 "lr": cosine_lr(step, total_steps, config.lr),
                 "wall_ms": (time.monotonic() - t0) * 1e3,
             })
+        for name, v in params.items():  # the loss check above never sees the last step
+            if not math.isfinite(float(np.vdot(v, v))):
+                raise TrainingDivergedError(f"parameter {name!r} of block {bi} has a non-finite "
+                                            "squared norm after the stage's last step")
         del work  # freed before the next stage's re-forward
     if last_input is not None:
         last_input.append(feats)

@@ -305,19 +305,22 @@ class TestArtifacts:
         assert main(["--out", str(out), *TINY, "train"]) == 2
         assert refusal(capsys, out) == {"error": error.__name__, "message": "non-finite"}
 
-    # numpy's RuntimeWarnings still come before the error line: ROADMAP item 4
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("probe", [[], ["--probe"]], ids=["train", "train --probe"])
-    def test_overflowing_stage_input_exit_code(self, tmp_path, capsys, probe):
-        # at lr 1e300 block 0's weights stay finite, but block 1's input
-        # Gram overflows: the run ends there, not in the probe's optimizer
+    @pytest.mark.parametrize("argv", [
+        ["--set", "train.channels=4,8", "--set", "train.epochs=2", "train"],
+        ["--set", "train.channels=4,8", "--set", "train.epochs=2", "train", "--probe"],
+        ["--set", "train.channels=4", "--set", "train.epochs=1", "train"],
+    ], ids=["train", "train --probe", "one block train"])
+    def test_overflowing_stage_input_exit_code(self, tmp_path, capsys, argv):
+        # at lr 1e300 block 0's one step leaves weights whose squared norm
+        # overflows: the run ends there, in one JSON line with no numpy
+        # warning, before block 1's input Gram or the probe's optimizer
         out = tmp_path / "r"
         assert main(["--out", str(out), "--set", "data.n_per_class=2",
-                     "--set", "data.n_test_per_class=1", "--set", "train.channels=4,8",
-                     "--set", "train.epochs=2", "--set", "train.d_proj=8",
-                     "--set", "train.lr=1e300", "train", *probe]) == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"] == "NumericsError"
+                     "--set", "data.n_test_per_class=1", "--set", "train.d_proj=8",
+                     "--set", "train.lr=1e300", *argv]) == 2
+        record = refusal(capsys, out)
+        assert record["error"] == "TrainingDivergedError"
+        assert "block 0" in record["message"]
         assert not out.exists()
 
     def test_mutated_blocks_exit_code(self, tmp_path, capsys, monkeypatch):

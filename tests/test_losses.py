@@ -4,8 +4,10 @@ Gradients are verified against central finite differences computed here in
 the test (independent of the library's own machinery), and the
 orthogonality gradient's deliberate 1/4 constant is pinned exactly.  The
 training objective (structural_grads) is pinned to the reference
-evaluators sphere_loss and orth_loss, and to the closed-form Oja-equivalent
-loss defined here: no command needs that loss, only this pin.
+evaluators sphere_loss and orth_loss, to the closed-form Oja-equivalent
+loss defined here (no command needs that loss, only this pin), and to a
+reference that row-normalizes Z and applies the normalisation's Jacobian
+explicitly, which the library folds into its B x B coefficients.
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sphere.linalg import NumericsError, as_matrix, gram, row_normalize
+from sphere.linalg import DEFAULT_EPS, NumericsError, as_matrix, gram, row_normalize
 from sphere.losses import (LossBundle, input_gram, orth_grad_linear, orth_loss,
                            sphere_grad_linear, sphere_loss, structural_grads)
 from sphere.oracle import principal_projection
@@ -41,6 +43,32 @@ def oja_equiv_loss(y, x, cond_cap: float = 1e10) -> float:
         raise SingularGramError("singular input Gram")
     diff = gram(y) - kx
     return 0.25 * float(np.trace(diff @ np.linalg.solve(kx, diff)))
+
+
+def structural_grads_reference(z, kx, lam, use_sphere, use_oja):
+    """structural_grads' training path on explicitly row-normalized rows:
+    dL/dZhat = A Zhat, then the Jacobian of z -> z / max(|z|, DEFAULT_EPS)
+    row by row.  Returns ((sphere, orth, total), dL/dZ)."""
+    zn = np.linalg.norm(z, axis=1, keepdims=True)
+    z_hat = z / np.maximum(zn, DEFAULT_EPS)
+    kz = z_hat @ z_hat.T
+    kd = kz - kx
+    orth = float(np.sum(kz * kz) - 2.0 * np.trace(kz) + z.shape[1])
+    match = float(np.sum(kd * kd)) if use_sphere else 0.0
+    coef = 4.0 * kd if use_sphere else 0.0
+    if use_oja:
+        a = np.linalg.inv(kx + 1e-6 * np.trace(kx) / len(kx) * np.eye(len(kx), dtype=kx.dtype))
+        ad = a @ kd
+        match += 0.25 * float(np.trace(ad @ kd))
+        coef = coef + 0.5 * (ad + ad.T)
+    coef = coef + lam * 4.0 * (kz - np.eye(len(kz), dtype=kz.dtype))
+    dz_hat = coef @ z_hat
+    # rows clamped to norm DEFAULT_EPS were scaled by the constant 1/DEFAULT_EPS
+    dot = np.sum(dz_hat * z_hat, axis=1, keepdims=True) * (zn >= DEFAULT_EPS)
+    return (match, orth, match + lam * orth), (dz_hat - dot * z_hat) / np.maximum(zn, DEFAULT_EPS)
+
+
+FORMS = {"sphere": (True, False), "oja": (False, True), "sphere+oja": (True, True)}
 
 
 def fd_grad(fun, w, h=1e-6):
@@ -240,19 +268,43 @@ class TestStructuralGrads:
         direct = np.sum((zn.T @ zn - np.eye(m)) ** 2)
         assert bundle.orth == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_matches_row_normalized_reference(self, form, lam, dtype, tol):
+        # row 2 is zero and row 6 is below DEFAULT_EPS: both are clamped, and
+        # their gradients, scaled by 1/DEFAULT_EPS, dwarf the others, so each
+        # row is compared relative to its own largest entry
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((10, 30)).astype(dtype)
+        z = (rng.standard_normal((10, 24)) * rng.uniform(0.5, 2.0, size=(10, 1))).astype(dtype)
+        z[2] = 0.0
+        z[6] *= 1e-10
+        kx = input_gram(x)
+        use_sphere, use_oja = FORMS[form]
+        bundle, dz = structural_grads(z, kx, lam, use_sphere=use_sphere, use_oja=use_oja)
+        want, ref = structural_grads_reference(z, kx, lam, use_sphere, use_oja)
+        assert dz.dtype == dtype
+        assert np.all(np.abs(dz - ref).max(axis=1) <= tol * np.abs(ref).max(axis=1))
+        for got, exp in zip((bundle.sphere, bundle.orth, bundle.total), want):
+            assert got == pytest.approx(exp, rel=tol)
+
     def test_memory_stays_in_batch_space(self):
-        # Z of 64 x 4096: an M x M Gram alone would be 64 times Z's size
+        # Z of 64 x 4096: an M x M Gram alone would be 64 times Z's size;
+        # the training path reads Z only through Z Z^T and C Z, so dL/dZ is
+        # its one Z-sized array, in every loss form
         rng = np.random.default_rng(17)
         x = rng.standard_normal((64, 300))
         z = rng.standard_normal((64, 4096))
         kx = input_gram(x)
-        tracemalloc.start()
-        try:
-            structural_grads(z, kx, lam=0.8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * z.nbytes
+        for form, (use_sphere, use_oja) in FORMS.items():
+            tracemalloc.start()
+            try:
+                structural_grads(z, kx, lam=0.8, use_sphere=use_sphere, use_oja=use_oja)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * z.nbytes, form
 
     def test_oja_term_matches_oja_equiv_loss(self):
         # The ridge r = 1e-6 tr(K)/B adds r to every eigenvalue of K, so each
