@@ -9,7 +9,8 @@ quarter of the elements.
 
 Gradients are fully manual reverse-mode and never leave the block: the
 input gradient is not produced, and the detached skip path contributes no
-gradient at all.
+gradient at all.  Block caches hold forward values only: each backward
+pass evaluates the activation derivative at the pre-activation it caches.
 
 Memory layout: feature maps between blocks have the logical NCHW shape
 (B, C, H, W) but are channels-last (NHWC) in memory, i.e. NCHW views of
@@ -57,47 +58,35 @@ class MemoryConstraintError(RuntimeError):
 # elementwise activations
 
 
-def activation(kind: str, x: np.ndarray, grad: bool = True):
-    """Elementwise activation; returns (value, derivative at x), or
-    (value, None) when grad is False.
-
-    binary_step forwards a hard threshold and uses a straight-through
-    derivative of 1 on |x| <= 1.
-    """
+def activation(kind: str, x: np.ndarray):
+    """Elementwise activation of x, in x's dtype."""
     if kind == "relu":
-        y = np.maximum(x, 0.0)
-    elif kind == "leaky_relu":
-        y = LEAKY_SLOPE * x
-        np.maximum(x, y, out=y)
-    elif kind == "tanh":
-        y = np.tanh(x)
-    elif kind == "sigmoid":
-        y = 0.5 + 0.5 * np.tanh(0.5 * x)  # 1/(1+exp(-x)) with no exp to overflow
-    elif kind == "binary_step":
-        y = _indicator(x > 0, x)
-    else:
-        raise NumericsError(f"unknown activation kind: {kind!r}")
-    if not grad:
-        return y, None
-    if kind == "relu":
-        return y, _indicator(x > 0, x)
+        return np.maximum(x, 0.0)
     if kind == "leaky_relu":
-        d = _indicator(x > 0, x)
-        d *= 1.0 - LEAKY_SLOPE
-        d += LEAKY_SLOPE
-        return y, d
+        y = LEAKY_SLOPE * x
+        return np.maximum(x, y, out=y)
     if kind == "tanh":
-        return y, 1.0 - y * y
+        return np.tanh(x)
     if kind == "sigmoid":
-        return y, y * (1.0 - y)
-    return y, _indicator(np.abs(x) <= 1.0, x)  # binary_step
+        return 0.5 + 0.5 * np.tanh(0.5 * x)  # 1/(1+exp(-x)) with no exp to overflow
+    if kind == "binary_step":
+        return (x > 0).astype(x.dtype)
+    raise NumericsError(f"unknown activation kind: {kind!r}")
 
 
-def _indicator(mask, like):
-    """0/1 array of like's dtype and memory layout where mask holds."""
-    out = np.empty_like(like)
-    np.copyto(out, mask)
-    return out
+def activation_grad(kind: str, x: np.ndarray):
+    """Derivative of activation(kind, .) at the pre-activation x; binary_step
+    takes a straight-through derivative of 1 on |x| <= 1."""
+    if kind == "binary_step":
+        return (np.abs(x) <= 1.0).astype(x.dtype)
+    if kind in ("relu", "leaky_relu"):
+        d = (x > 0).astype(x.dtype)
+        if kind == "leaky_relu":
+            d *= 1.0 - LEAKY_SLOPE
+            d += LEAKY_SLOPE
+        return d
+    y = activation(kind, x)  # raises on an unknown kind
+    return 1.0 - y * y if kind == "tanh" else y * (1.0 - y)
 
 
 # ---------------------------------------------------------------------------
@@ -294,36 +283,34 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
 
 def _main_forward(f: MainBlock, x, train: bool = True, *, work=None):
     """Main-path output of block f on x and, when train is set, the cache
-    block_backward reads: (conv cache, activation derivative, pool cache).
-    With train False the cache is None, and no derivative, im2col rows or
-    pool cache outlive their use.  `work` is conv_forward's workspace."""
+    block_backward reads: (conv cache, pool cache), whose pooled map is the
+    pre-activation.  With train False the cache is None, and no im2col rows
+    or pool cache outlive their use.  `work` is conv_forward's workspace."""
     q, conv_cache = conv_forward(x, f.kernel, f.bias, work=work)
     grid = conv_cache[0]
     if not train:
         conv_cache = None  # frees the im2col rows before the activation
     pooled, pool_cache = maxpool2x2_forward(q)
-    p, d_act = activation(f.activation, pooled, grad=train)
-    p = p.reshape(*grid, -1).transpose(0, 3, 1, 2)  # rows -> channels-last map
+    p = activation(f.activation, pooled).reshape(*grid, -1).transpose(0, 3, 1, 2)  # channels-last
     if f.use_skip:
         # detached: no gradient flows back through skip.  Missing skip
         # channels count as zeros, surplus ones are dropped.
         skip = avgpool2x2(x)
         n = min(skip.shape[1], p.shape[1])
         p[:, :n] += skip[:, :n]
-    return p, (conv_cache, d_act, pool_cache) if train else None
+    return p, (conv_cache, pool_cache) if train else None
 
 
 def _aux_forward(phi: AuxBlock, rows, hw: int):
     """Z of the projection head on the (B*hw, C) rows of a main output, hw
     rows per image in (b, i, j) order; the cache holds each 1x1 conv's
-    input rows and activation derivative."""
+    input rows and pre-activation."""
     conv_caches = []
     for k, bias in zip(phi.conv_kernels, phi.conv_biases):
         pre = rows @ k.reshape(k.shape[0], -1).T
         pre += bias
-        a, d_act = activation(phi.activation, pre)
-        conv_caches.append((rows, d_act))
-        rows = a
+        conv_caches.append((rows, pre))
+        rows = activation(phi.activation, pre)
     g = rows.reshape(-1, hw, rows.shape[1]).mean(axis=1)
     z = g @ phi.fc_w + phi.fc_b
     return z, (conv_caches, g)
@@ -338,9 +325,9 @@ def _aux_backward(phi: AuxBlock, cache, dz, hw: int):
     # pooling backward: each image's gradient spread over its hw rows
     d_rows = np.repeat(dz @ phi.fc_w.T / hw, hw, axis=0)
     for i in range(len(conv_caches) - 1, -1, -1):
-        rows, da = conv_caches[i]
+        rows, pre = conv_caches[i]
         k = phi.conv_kernels[i]
-        d_rows *= da  # d_rows is fresh: from np.repeat or the matmul below
+        d_rows *= activation_grad(phi.activation, pre)  # d_rows is fresh: np.repeat or a matmul
         grads[f"conv{i}_kernel"] = (d_rows.T @ rows).reshape(k.shape)
         grads[f"conv{i}_bias"] = d_rows.sum(axis=0)
         d_rows = d_rows @ k.reshape(k.shape[0], -1)
@@ -362,7 +349,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     # K_X from x's rows in memory order: free for a C-contiguous or channels-last x
     nhwc = x.transpose(0, 2, 3, 1)
     kx = input_gram((nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1))
-    yp, (conv_cache, d_act, pool_cache) = _main_forward(f, x, work=work)
+    yp, (conv_cache, pool_cache) = _main_forward(f, x, work=work)
     b, c, h, w = yp.shape
     rows = yp.transpose(0, 2, 3, 1).reshape(-1, c)  # the pooled rows: a free view
     if phi is None:
@@ -388,7 +375,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     # sum of the n routed gradients: per image, then over the batch, which
     # at the block shapes is as fast as one pass over the n rows and 3-11x
     # more accurate in float32.
-    g *= d_act  # g is fresh: built from dz or d_rows above
+    g *= activation_grad(f.activation, pool_cache[1])  # at the pooled map; g is fresh
     dq = maxpool2x2_backward(g, pool_cache)
     grads["main.kernel"] = conv_backward(dq, conv_cache)
     grads["main.bias"] = g.reshape(b, -1, c).sum(axis=1).sum(axis=0)

@@ -178,8 +178,7 @@ def build_blocks(config: TrainConfig, in_channels: int, rng):
 
 def _forward(blocks, x):
     """Main-path output of `blocks` applied in turn to x, 256 images at a
-    time so im2col buffers stay bounded on large inputs.  No activation
-    derivative or cache is built."""
+    time so im2col buffers stay bounded on large inputs; builds no cache."""
     outs = []
     for i in range(0, len(x), 256):
         h = x[i : i + 256]
@@ -225,13 +224,17 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
             batches = datamod.batch_indices(len(feats), min(config.batch_size, len(feats)),
                                             batch_rng, drop_last=len(feats) > config.batch_size)
             for idx in batches:
-                grads, bundle = net.block_backward(
-                    f, phi, feats[idx], lam,
-                    use_sphere=config.use_sphere, use_oja=config.use_oja, work=work)
-                if not math.isfinite(bundle.total):
-                    raise TrainingDivergedError(f"non-finite loss at block {bi}, step {step}")
-                lr = cosine_lr(step, total_steps, config.lr)
-                opt.step(grads, lr=lr)
+                # errstate sees only this thread's FP flags, so the isfinite checks stay
+                try:
+                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                        grads, bundle = net.block_backward(
+                            f, phi, feats[idx], lam,
+                            use_sphere=config.use_sphere, use_oja=config.use_oja, work=work)
+                        if not math.isfinite(bundle.total):
+                            raise TrainingDivergedError(f"non-finite loss at block {bi}, step {step}")
+                        opt.step(grads, lr=cosine_lr(step, total_steps, config.lr))
+                except FloatingPointError as e:
+                    raise TrainingDivergedError(f"{e} at block {bi}, step {step}") from None
                 sums += (bundle.sphere, bundle.orth, bundle.total)
                 step += 1
             nb = len(batches)

@@ -4,7 +4,9 @@ the cheap subcommands end to end."""
 import json
 import os
 import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ TINY = ["--set", "train.dtype=float64", "--set", "train.channels=4,8",
         "--set", "train.epochs=2", "--set", "train.batch_size=8", "--set", "train.d_proj=8",
         "--set", "data.n_per_class=2", "--set", "data.n_test_per_class=1",
         "--set", "probe.epochs=2"]
+
+
+# tiny data at a learning rate whose first step overflows block 0's weights
+OVERFLOW = ["--set", "data.n_per_class=2", "--set", "data.n_test_per_class=1",
+            "--set", "train.d_proj=8", "--set", "train.lr=1e300"]
 
 
 def run_train(tmp_path, name, *flags):
@@ -309,18 +316,37 @@ class TestArtifacts:
         ["--set", "train.channels=4,8", "--set", "train.epochs=2", "train"],
         ["--set", "train.channels=4,8", "--set", "train.epochs=2", "train", "--probe"],
         ["--set", "train.channels=4", "--set", "train.epochs=1", "train"],
-    ], ids=["train", "train --probe", "one block train"])
+        ["--set", "train.channels=4", "--set", "train.epochs=2", "train"],
+        ["--set", "train.channels=4", "--set", "train.epochs=2", "train", "--probe"],
+    ], ids=["train", "train --probe", "one block train", "one block, two steps train",
+            "one block, two steps train --probe"])
     def test_overflowing_stage_input_exit_code(self, tmp_path, capsys, argv):
-        # at lr 1e300 block 0's one step leaves weights whose squared norm
-        # overflows: the run ends there, in one JSON line with no numpy
-        # warning, before block 1's input Gram or the probe's optimizer
+        # at lr 1e300 block 0's first step leaves weights whose squared norm
+        # overflows, and a second step overflows in the aux head's matmul:
+        # the run ends there, in one JSON line with no numpy warning, before
+        # block 1's input Gram or the probe's optimizer
         out = tmp_path / "r"
-        assert main(["--out", str(out), "--set", "data.n_per_class=2",
-                     "--set", "data.n_test_per_class=1", "--set", "train.d_proj=8",
-                     "--set", "train.lr=1e300", *argv]) == 2
+        assert main(["--out", str(out), *OVERFLOW, *argv]) == 2
         record = refusal(capsys, out)
         assert record["error"] == "TrainingDivergedError"
         assert "block 0" in record["message"]
+        assert not out.exists()
+
+    def test_overflowing_step_prints_one_line(self, tmp_path):
+        # a fresh interpreter shows numpy's RuntimeWarnings that the suite's
+        # filter would turn into errors: stderr must still be one JSON line
+        out = tmp_path / "r"
+        repo = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(repo / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "sphere.cli", "--out", str(out), *OVERFLOW,
+             "--set", "train.channels=4", "--set", "train.epochs=2", "train"],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0])["error"] == "TrainingDivergedError"
         assert not out.exists()
 
     def test_mutated_blocks_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -32,22 +32,40 @@ def conv2d_naive(x, kernel, bias, stride=1, pad=1):
     return out
 
 
+def derivative(kind, x):
+    """Textbook derivative of each activation at x, in x's dtype;
+    binary_step's is its straight-through 1 on |x| <= 1."""
+    if kind == "sigmoid":
+        s = net.activation(kind, x)
+        return s * (1 - s)
+    if kind == "tanh":
+        return 1 - np.tanh(x) ** 2
+    if kind == "binary_step":
+        return np.where(np.abs(x) <= 1, 1.0, 0.0).astype(x.dtype)
+    slope = net.LEAKY_SLOPE if kind == "leaky_relu" else 0.0
+    return np.where(x > 0, 1.0, slope).astype(x.dtype)
+
+
 class TestActivations:
     def test_known_values(self):
         x = np.array([[-2.0, 0.5]])
-        assert np.allclose(net.activation("relu", x)[0], [[0.0, 0.5]])
-        assert np.allclose(net.activation("leaky_relu", x)[0], [[-0.02, 0.5]])
-        assert np.allclose(net.activation("tanh", x)[0], np.tanh(x))
-        assert np.allclose(net.activation("binary_step", x)[0], [[0.0, 1.0]])
+        assert np.allclose(net.activation("relu", x), [[0.0, 0.5]])
+        assert np.allclose(net.activation("leaky_relu", x), [[-0.02, 0.5]])
+        assert np.allclose(net.activation("tanh", x), np.tanh(x))
+        assert np.allclose(net.activation("binary_step", x), [[0.0, 1.0]])
 
-    @pytest.mark.parametrize("kind", ["relu", "leaky_relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
     def test_derivative_matches_fd(self, kind):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 6)) + 0.05  # stay off the relu kink
-        _, d = net.activation(kind, x)
+        # binary_step's straight-through derivative is that of clip(x, -1, 1)
+        f = (lambda v: np.clip(v, -1.0, 1.0)) if kind == "binary_step" else (
+            lambda v: net.activation(kind, v))
+        x = np.random.default_rng(0).standard_normal((4, 6)) + 0.05  # off the kinks
         h = 1e-6
-        fd = (net.activation(kind, x + h)[0] - net.activation(kind, x - h)[0]) / (2 * h)
-        assert np.allclose(d, fd, atol=1e-6)
+        fd = (f(x + h) - f(x - h)) / (2 * h)
+        for dtype in (np.float32, np.float64):
+            d = net.activation_grad(kind, x.astype(dtype))
+            assert d.dtype == dtype
+            assert np.allclose(d, fd, atol=1e-6), dtype
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", net.ACTIVATIONS)
@@ -55,7 +73,7 @@ class TestActivations:
         # 1/(1+exp(-x)) overflows in exp at x = -1e4, where sigmoid is 0
         x = np.array([[-1e4, -100.0, 100.0, 1e4]], dtype=dtype)
         with np.errstate(all="raise"):
-            y, d = net.activation(kind, x)
+            y, d = net.activation(kind, x), net.activation_grad(kind, x)
         assert y.dtype == d.dtype == dtype
         assert np.all(np.isfinite(y)) and np.all(np.isfinite(d))
         if kind == "sigmoid":
@@ -63,18 +81,17 @@ class TestActivations:
 
     def test_binary_step_straight_through(self):
         x = np.array([[-2.0, -0.5, 0.5, 2.0]])
-        _, d = net.activation("binary_step", x)
-        assert np.array_equal(d, [[0.0, 1.0, 1.0, 0.0]])
+        assert np.array_equal(net.activation_grad("binary_step", x), [[0.0, 1.0, 1.0, 0.0]])
 
     def test_unknown_kind(self):
-        with pytest.raises(NumericsError):
-            net.activation("gelu", np.zeros((1, 1)))
+        for fn in (net.activation, net.activation_grad):
+            with pytest.raises(NumericsError):
+                fn("gelu", np.zeros((1, 1)))
 
     @pytest.mark.parametrize("kind", net.ACTIVATIONS)
     def test_keeps_float32(self, kind):
         x = np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32)
-        y, d = net.activation(kind, x)
-        assert y.dtype == d.dtype == np.float32
+        assert net.activation(kind, x).dtype == net.activation_grad(kind, x).dtype == np.float32
 
 
 # the quarter order of pool-major rows: position (di, dj) in each 2x2 window
@@ -226,8 +243,9 @@ class TestPooling:
         f = net.MainBlock(kernel=np.zeros((2, 3, 3, 3)), bias=np.ones(2),
                           activation="binary_step")
         x = np.random.default_rng(19).standard_normal((2, 3, 4, 6))
-        yp, (_, d_act, pool_cache) = net._main_forward(f, x)
+        _, (_, pool_cache) = net._main_forward(f, x)
         g = np.ones((2 * 2 * 3, 2))  # the pooled rows of yp (2, 2, 2, 3)
+        d_act = net.activation_grad(f.activation, pool_cache[1])  # at the pooled map
         da = net.maxpool2x2_backward(g * d_act, pool_cache)
         expected = np.zeros((2, 2, 4, 6))
         expected[:, :, 0::2, 0::2] = 1.0
@@ -266,7 +284,7 @@ class TestBlockForward:
         yp = rng.standard_normal((3, 8, 4, 4))
         h = yp
         for k, b in zip(phi.conv_kernels, phi.conv_biases):
-            h = net.activation(phi.activation, conv2d_naive(h, k, b, pad=0))[0]
+            h = net.activation(phi.activation, conv2d_naive(h, k, b, pad=0))
         expected = h.mean(axis=(2, 3)) @ phi.fc_w + phi.fc_b
         z, _ = net._aux_forward(phi, pooled_rows(yp), 16)
         assert np.allclose(z, expected, atol=1e-12)
@@ -313,7 +331,7 @@ def activate_then_pool(f, x, lam=0.8):
     """Reference main path of block f in conv -> activation -> maxpool
     order, without a head: (output, grads of block_backward(f, None, x))."""
     q, conv_cache = net.conv_forward(x, f.kernel, f.bias)
-    a, d_act = net.activation(f.activation, q)
+    a, d_act = net.activation(f.activation, q), derivative(f.activation, q)
     p, pool_cache = net.maxpool2x2_forward(a)
     b, _, h, w = x.shape
     yp = p.reshape(b, h // 2, w // 2, -1).transpose(0, 3, 1, 2).copy()  # pooled rows
@@ -366,7 +384,8 @@ class TestPoolOrder:
         f = net.MainBlock(kernel=k, bias=np.zeros(1), activation="binary_step", use_skip=True)
         x = np.random.default_rng(23).uniform(0.05, 0.95, size=(4, 1, 4, 4))
         x[0, 0, :2, :2] = [[0.3, 0.5], [0.1, 0.2]]
-        _, (_, d_act, pool_cache) = net._main_forward(f, x)
+        _, (_, pool_cache) = net._main_forward(f, x)
+        d_act = net.activation_grad(f.activation, pool_cache[1])  # at the pooled map
         dq = net.maxpool2x2_backward(np.ones((4 * 2 * 2, 1)), pool_cache)
         assert np.array_equal(to_nchw(dq, 4, 4, 4)[0, 0, :2, :2], [[0.0, 1.0], [0.0, 0.0]])
         assert np.all(d_act == 1.0)  # straight through: every pooled value is in (0, 1)
@@ -382,13 +401,6 @@ class TestPoolOrder:
         assert no_cache is None and cache is not None
         assert np.array_equal(out, yp)
         assert out.transpose(0, 2, 3, 1).flags.c_contiguous
-
-    @pytest.mark.parametrize("kind", net.ACTIVATIONS)
-    def test_no_cache_activation(self, kind):
-        x = np.random.default_rng(25).standard_normal((2, 3, 4, 4))
-        y, d = net.activation(kind, x, grad=False)
-        assert d is None
-        assert np.array_equal(y, net.activation(kind, x)[0])
 
 
 def maxpool_first_winner(a):
@@ -411,7 +423,7 @@ def reference_block(f, x, lam):
     pre-activations and the activation: (output, main.* gradients)."""
     c = conv2d_naive(x, f.kernel, f.bias)
     pooled, winner = maxpool_first_winner(c)
-    yp, d_act = net.activation(f.activation, pooled)
+    yp, d_act = net.activation(f.activation, pooled), derivative(f.activation, pooled)
     b = len(x)
     _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), input_gram(x.reshape(b, -1)), lam)
     dpooled = dz.reshape(yp.transpose(0, 2, 3, 1).shape).transpose(0, 3, 1, 2) * d_act

@@ -9,6 +9,10 @@ perfbench/spans.py and perfbench/unit.py and pin what they use.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,8 @@ import pytest
 from sphere import network as net
 from sphere import trainer
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -104,3 +109,19 @@ def test_tracer_times_every_block(monkeypatch):
     for b in range(spans.N_BLOCKS):
         for kernel in ("im2col", "conv_backward", "maxpool2x2_backward"):
             assert metrics[f"network.{kernel}.b{b}.ms"] > 0, (kernel, b)
+
+
+@pytest.mark.parametrize("workload", [["desk-greedy"], ["ablate-wide"],
+                                      ["lemma-linear", "--variant", "8"]],
+                         ids=lambda w: w[0])
+def test_unit_checks_pass_at_tiny_scale(workload):
+    # the benchmark's own checks (losses_finite, own_loss_drops, the lemma
+    # ratio, ...) on this checkout, as run.py starts a unit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
+    done = subprocess.run([sys.executable, "perfbench/unit.py", "--workload", *workload,
+                           "--scale", "tiny", "--trace", "0", "--seed", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert Path(result["sphere_file"]).resolve().is_relative_to(ROOT / "src")
+    assert result["failures"] == []
