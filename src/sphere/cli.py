@@ -463,9 +463,8 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"--out {args.out!r}: cannot write the run there: {exc}") from exc
         return code
-    except (ConfigError, datamod.FormatError, NumericsError, net.MemoryConstraintError,
-            TrainingDivergedError, OptimizerError, FrozenBlocksMutatedError,
-            MemoryError) as exc:
+    except (ConfigError, datamod.FormatError, NumericsError, TrainingDivergedError,
+            OptimizerError, FrozenBlocksMutatedError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -44,14 +44,8 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
 LEAKY_SLOPE = 0.01
 
 
-# widest flattened block output the orthogonality loss accepts without phi
-ORTH_WIDTH_CAP = 4096
-
-
 class MemoryConstraintError(RuntimeError):
-    """Orthogonality loss on features wider than ORTH_WIDTH_CAP without the
-    auxiliary projection is refused, mirroring the paper's ablation row; the
-    library itself never forms the M' x M' product."""
+    """Kept only as a name perfbench imports; the library never raises it."""
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +348,6 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     rows = yp.transpose(0, 2, 3, 1).reshape(-1, c)  # the pooled rows: a free view
     if phi is None:
         z = rows.reshape(b, -1)
-        if lam != 0.0 and z.shape[1] > ORTH_WIDTH_CAP:
-            raise MemoryConstraintError(
-                f"orthogonality loss on full-width features ({z.shape[1]} dims) "
-                "requires the auxiliary projection; memory constraint"
-            )
     else:
         z, aux_cache = _aux_forward(phi, rows, h * w)
 

@@ -11,6 +11,7 @@ same code paths).
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,10 +276,8 @@ def test_criterion_7_locality_and_determinism(tmp_path):
                          "train"])
         assert code == 0
         outs.append(out)
-    ma = open(os.path.join(outs[0], "manifest.txt"), "rb").read()
-    mb = open(os.path.join(outs[1], "manifest.txt"), "rb").read()
-    sa = open(os.path.join(outs[0], "summary.json"), "rb").read()
-    sb = open(os.path.join(outs[1], "summary.json"), "rb").read()
+    ma, mb = (Path(out, "manifest.txt").read_bytes() for out in outs)
+    sa, sb = (Path(out, "summary.json").read_bytes() for out in outs)
     ok_det = ma == mb and sa == sb
     report(7, ok_local and ok_det,
            f"locality {'ok' if ok_local else 'VIOLATED'}; "
@@ -291,7 +290,7 @@ def test_criterion_8_ingestion_exactness(tmp_path):
     path = _real_cifar()
     if path and os.path.exists(os.path.join(path, "test_batch.bin")):
         batch_path = os.path.join(path, "test_batch.bin")
-        raw = open(batch_path, "rb").read()
+        raw = Path(batch_path).read_bytes()
     else:
         # constructed full-size batch in the exact binary format
         rng = np.random.default_rng(8)

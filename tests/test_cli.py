@@ -2,6 +2,7 @@
 the cheap subcommands end to end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -295,14 +296,6 @@ class TestArtifacts:
         assert argv[1] in record["message"]
         assert calls == []
 
-    def test_refused_orth_without_phi_exit_code(self, tmp_path, capsys):
-        # default widths: block 0's flattened output is 48 * 16 * 16 = 12288 wide
-        out = tmp_path / "r"
-        code = main(["--out", str(out), "--set", "data.n_per_class=2",
-                     "--set", "train.use_phi=false", "train"])
-        assert code == 2
-        assert refusal(capsys, out)["error"] == "MemoryConstraintError"
-
     @pytest.mark.parametrize("error", [trainer.TrainingDivergedError, trainer.OptimizerError])
     def test_training_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def diverge(config, images, **kwargs):
@@ -479,6 +472,17 @@ def test_command_smoke(tmp_path, command):
     assert summary["command"] == command
     assert set(summary) == {"schema", "command"} | keys
     assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("use_oja", ["false", "true"])
+def test_head_less_train_at_default_widths(tmp_path, use_oja):
+    # block 0's Z is the flattened pooled output, 48 * 16 * 16 = 12288 wide
+    out = tmp_path / "r"
+    assert main(["--out", str(out), "--set", "data.n_per_class=2",
+                 "--set", "data.n_test_per_class=1", "--set", "train.use_phi=false",
+                 "--set", f"train.use_oja={use_oja}", "train", "--probe"]) == 0
+    assert set(os.listdir(out)) == {"manifest.txt", "metrics.jsonl", "summary.json"}
+    assert math.isfinite(json.loads((out / "summary.json").read_text())["final_total"])
 
 
 def test_missed_target_writes_every_artifact(tmp_path):

@@ -204,6 +204,20 @@ class TestOrth:
         fd = fd_grad(lambda: orth_loss(x @ w, normalize=False), w)
         assert np.allclose(4.0 * g, fd, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_floor_when_wider_than_batch(self, normalize):
+        # Z Z^T has only B eigenvalues, so with M > B the penalty is at least
+        # M - B, reached exactly when Z's rows are orthonormal
+        b, m = 6, 40
+        rng = np.random.default_rng(15)
+        kx = input_gram(rng.standard_normal((b, 10)), normalize=normalize)
+        q, _ = np.linalg.qr(rng.standard_normal((m, b)))
+        bundle, _ = structural_grads(q.T, kx, lam=0.8, normalize=normalize)
+        assert bundle.orth == pytest.approx(m - b, rel=1e-12)
+        bundle, _ = structural_grads(rng.standard_normal((b, m)), kx, lam=0.8,
+                                     normalize=normalize)
+        assert bundle.orth > m - b
+
 
 class TestTotalLoss:
     """The bundle structural_grads returns: total = sphere + lam * orth."""
