@@ -161,14 +161,11 @@ class SyntheticSpec:
 
 
 def synth_gaussian(spec: SyntheticSpec) -> np.ndarray:
-    """X = U diag(sigma) V^T with seeded random orthonormal U, V."""
+    """X = U diag(sigma) V^T with seeded random orthonormal U, V; X has rank
+    at most B, so it keeps the first min(B, len(sigma)) singular values."""
     r = len(spec.spectrum)
     if r > spec.n:
         raise NumericsError("more singular values than columns")
-    if spec.b < r and np.any(spec.spectrum[spec.b :] > 0):
-        import warnings
-
-        warnings.warn("B < number of nonzero singular values; spectrum truncated by rank")
     rng = np.random.default_rng(spec.seed)
     u, _ = np.linalg.qr(rng.standard_normal((spec.b, min(spec.b, r))))
     v, _ = np.linalg.qr(rng.standard_normal((spec.n, min(spec.b, r))))

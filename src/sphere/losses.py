@@ -86,8 +86,8 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
     if normalize:
         zn, scale = _normalize_gram(kz)
     kd = kz - kx
-    orth = float(np.sum(kz * kz) - 2.0 * np.trace(kz) + z.shape[1])
-    match = float(np.sum(kd * kd)) if use_sphere else 0.0
+    orth = float((kz * kz).sum() - 2.0 * kz.trace() + z.shape[1])
+    match = float((kd * kd).sum()) if use_sphere else 0.0
     coef = 4.0 * kd if use_sphere else 0.0
     if use_oja:
         # ridge keeps the inverse usable on near-singular batch Grams

@@ -12,7 +12,7 @@ from .linalg import NumericsError, as_matrix
 DIVERGENCE_NORM_CAP = 1e12
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericsError):
     """Weights became non-finite or unboundedly large."""
 
 

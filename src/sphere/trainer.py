@@ -52,7 +52,7 @@ class AdamW:
     def step(self, grads: dict, lr: float | None = None):
         lr = self.lr if lr is None else lr
         for k, g in grads.items():
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise OptimizerError(f"non-finite gradient for parameter {k!r}")
         self.step_count += 1
         t = self.step_count
@@ -337,7 +337,9 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
     Returns (w, history): history[i] is the raw sphere loss at the weights
     that step i's gradient was taken at.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # X^T X = R^T R, so the loss and X^T dL/dZ at Z = R W equal those at Z = X W,
+    # while each step forms min(B, N)^2 Grams instead of B x B ones
+    x = np.linalg.qr(np.asarray(x, dtype=np.float64), mode="r")
     n = x.shape[1]
     rng = np.random.default_rng(seed)
     params = {"w": np.linalg.qr(rng.standard_normal((n, m)))[0]}

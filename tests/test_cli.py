@@ -16,6 +16,7 @@ from sphere import cli, trainer
 from sphere import data as datamod
 from sphere import network as net
 from sphere.cli import ConfigError, load_config, main, parse_config_text, train_config_from
+from sphere.plasticity import DivergenceError
 from sphere.trainer import TrainConfig
 
 # float64 blocks small enough that every training command runs in about a second
@@ -154,6 +155,12 @@ class TestArtifacts:
         assert main(["--out", str(tmp_path / "r"), "--seed", "84", "verify-lemma",
                      "--M", "16"]) == 0
 
+    def test_verify_lemma_batch_below_rank_prints_nothing_to_stderr(self, tmp_path, capsys):
+        # B = 10 < N = 32: X keeps 10 of the 32 singular values, as documented
+        assert main(["--out", str(tmp_path / "r"), "verify-lemma", "--B", "10", "--N", "32",
+                     "--M", "8", "--steps", "3000"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_identical_invocations_byte_identical_summaries(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
@@ -270,7 +277,7 @@ class TestArtifacts:
                                        ["--M", "0", "--B", "1"], ["--M", "40"]],  # N is 32
                              ids=" ".join)
     def test_verify_lemma_invalid_flag_exit_code(self, tmp_path, capsys, monkeypatch, flags):
-        # refused before any data is made: synth_gaussian would warn on B=1
+        # refused before any data is made
         def no_data(spec):
             raise AssertionError("synth_gaussian called")
 
@@ -304,6 +311,15 @@ class TestArtifacts:
         out = tmp_path / "r"
         assert main(["--out", str(out), *TINY, "train"]) == 2
         assert refusal(capsys, out) == {"error": error.__name__, "message": "non-finite"}
+
+    def test_oja_divergence_exit_code(self, tmp_path, capsys, monkeypatch):
+        def diverge(w, x, eta):
+            raise DivergenceError("weights diverged under Oja's rule")
+        monkeypatch.setattr(cli, "oja_step", diverge)
+        out = tmp_path / "r"
+        assert main(["--out", str(out), "oja-demo"]) == 2
+        assert refusal(capsys, out)["error"] == "DivergenceError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--set", "train.channels=4,8", "--set", "train.epochs=2", "train"],

@@ -176,6 +176,21 @@ class TestSphereGrad:
         with pytest.raises(NumericsError):
             sphere_grad_linear(np.ones((4, 3)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("b", [10, 64, 300])  # B below, at and above N = 32
+    def test_triangular_factor_stands_in_for_x(self, b):
+        # X^T X = R^T R, so the raw loss and the weight gradient X^T dL/dZ
+        # at Z = X W are those at Z = R W, as train_linear_block relies on
+        rng = np.random.default_rng(b)
+        x = rng.standard_normal((b, 32))
+        w = np.linalg.qr(rng.standard_normal((32, 8)))[0]
+        r = np.linalg.qr(x, mode="r")
+        assert r.shape == (min(b, 32), 32)
+        bx, dzx = structural_grads(x @ w, input_gram(x, normalize=False), normalize=False)
+        br, dzr = structural_grads(r @ w, input_gram(r, normalize=False), normalize=False)
+        assert br.sphere == pytest.approx(bx.sphere, rel=1e-12)
+        gx = x.T @ dzx
+        assert np.abs(r.T @ dzr - gx).max() <= 1e-12 * np.abs(gx).max()
+
 
 class TestOrth:
     def test_zero_for_orthonormal(self):

@@ -10,6 +10,7 @@ from sphere import network as net
 from sphere import trainer
 from sphere.data import make_synthetic_images, channel_stats, to_float
 from sphere.linalg import NumericsError
+from sphere.losses import sphere_loss
 from sphere.trainer import (AdamW, FrozenBlocksMutatedError, OptimizerError, TrainConfig,
                             build_blocks, cosine_lr, evaluate_config, features,
                             knn_eval, param_checksum, train_greedy, train_probe)
@@ -300,6 +301,29 @@ class TestEvaluateConfig:
             trainer.run_transfer(x, x, y, x[:10], y[:10], TrainConfig(seed=0, **SMALL),
                                  probe_epochs=1)
         assert len(calls) == 2
+
+
+class TestTrainLinearBlock:
+    def test_steps_see_at_most_n_rows(self, monkeypatch):
+        # each step works on X's N x N triangular factor, whatever B is
+        shapes = []
+        real = trainer.structural_grads
+
+        def spy(z, kx, **kwargs):
+            shapes.append((z.shape, kx.shape))
+            return real(z, kx, **kwargs)
+
+        monkeypatch.setattr(trainer, "structural_grads", spy)
+        x = np.random.default_rng(0).standard_normal((256, 32))
+        trainer.train_linear_block(x, 8, steps=5)
+        assert shapes == [((32, 8), (32, 32))] * 5
+
+    def test_first_history_entry_is_the_loss_on_x(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((64, 32))
+        w0 = np.linalg.qr(np.random.default_rng(5).standard_normal((32, 8)))[0]
+        _, history = trainer.train_linear_block(x, 8, steps=1, seed=5)
+        assert history[0] == pytest.approx(sphere_loss(x @ w0, x, normalize=False), rel=1e-12)
 
 
 class TestProbe:
