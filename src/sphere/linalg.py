@@ -58,10 +58,10 @@ def svd(a) -> SvdResult:
 
 
 def gram(a) -> np.ndarray:
-    """Gram matrix A @ A.T, explicitly symmetrized."""
+    """Gram matrix A @ A.T; exactly symmetric, as numpy forms one triangle
+    and mirrors it."""
     m = as_matrix(a)
-    g = m @ m.T
-    return 0.5 * (g + g.T)
+    return m @ m.T
 
 
 def frob_norm_sq(a) -> float:

@@ -12,6 +12,9 @@ values), never an M x M matrix.  Two evaluation paths exist on purpose:
   off the Gram's diagonal and the Jacobian folded into B x B coefficients;
 * the linear-analysis path (``normalize=False``) uses the raw matrices so
   it matches the closed-form SVD oracle exactly.
+
+``orth_loss`` is raw-only; ``sphere_loss`` keeps both paths only because
+perfbench passes it ``normalize=False`` by keyword.
 """
 
 from dataclasses import dataclass
@@ -115,29 +118,12 @@ def sphere_grad_linear(x, w) -> np.ndarray:
     return x.T @ dy
 
 
-def orth_loss(z, normalize: bool = True) -> float:
-    """Column-orthogonality penalty ||Z^T Z - I||_F^2 = sum (s^2 - 1)^2 over
-    Z's singular values s, plus 1 per zero eigenvalue of Z^T Z; exact near
-    an orthonormal Z, where ||K_Z||^2 - 2 tr K_Z + M cancels."""
+def orth_loss(z) -> float:
+    """Column-orthogonality penalty ||Z^T Z - I||_F^2 of the raw Z: sum
+    (s^2 - 1)^2 over Z's singular values s, plus 1 per zero eigenvalue of
+    Z^T Z; exact near an orthonormal Z, where ||K_Z||^2 - 2 tr K_Z + M
+    cancels."""
     z = as_matrix(z)
-    if normalize:
-        z = row_normalize(z)
     s = np.linalg.svd(z, compute_uv=False)
     return float(np.sum((s * s - 1.0) ** 2) + (z.shape[1] - len(s)))
 
-
-def orth_grad_linear(x, w) -> np.ndarray:
-    """Weight gradient of the orthogonality penalty for Y = X @ W:
-    X^T Y (Y^T Y - I) = X^T (Y Y^T - I) Y.
-
-    It equals exactly 1/4 of the derivative of ||Y^T Y - I||_F^2 (the
-    direction is identical; only the constant differs).
-    """
-    x = as_matrix(x)
-    w = as_matrix(w)
-    if x.shape[1] != w.shape[0]:
-        raise NumericsError("shape mismatch: X cols != W rows")
-    y = x @ w
-    ky = y @ y.T
-    ky[np.diag_indices_from(ky)] -= 1.0
-    return x.T @ (ky @ y)

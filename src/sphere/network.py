@@ -223,8 +223,7 @@ class MainBlock:
 class AuxBlock:
     """Projection head: (1x1 conv, halving channels) x depth -> global
     average pool -> fully-connected to d_proj dimensions.  The 1x1 convs
-    run as channel matmuls on (B*H*W, C) rows; kernels keep the conv shape
-    (O, C, 1, 1)."""
+    run as channel matmuls on (B*H*W, C) rows with (O, C) kernels."""
 
     conv_kernels: list
     conv_biases: list
@@ -263,7 +262,7 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
     ch = in_ch
     for _ in range(depth):
         nxt = max(ch // 2, 1)
-        kernels.append(_kaiming_uniform(rng, (nxt, ch, 1, 1), ch, dtype))
+        kernels.append(_kaiming_uniform(rng, (nxt, ch), ch, dtype))
         biases.append(_kaiming_uniform(rng, (nxt,), ch, dtype))
         ch = nxt
     return AuxBlock(
@@ -301,7 +300,7 @@ def _aux_forward(phi: AuxBlock, rows, hw: int):
     input rows and pre-activation."""
     conv_caches = []
     for k, bias in zip(phi.conv_kernels, phi.conv_biases):
-        pre = rows @ k.reshape(k.shape[0], -1).T
+        pre = rows @ k.T
         pre += bias
         conv_caches.append((rows, pre))
         rows = activation(phi.activation, pre)
@@ -320,11 +319,10 @@ def _aux_backward(phi: AuxBlock, cache, dz, hw: int):
     d_rows = np.repeat(dz @ phi.fc_w.T / hw, hw, axis=0)
     for i in range(len(conv_caches) - 1, -1, -1):
         rows, pre = conv_caches[i]
-        k = phi.conv_kernels[i]
         d_rows *= activation_grad(phi.activation, pre)  # d_rows is fresh: np.repeat or a matmul
-        grads[f"conv{i}_kernel"] = (d_rows.T @ rows).reshape(k.shape)
+        grads[f"conv{i}_kernel"] = d_rows.T @ rows
         grads[f"conv{i}_bias"] = d_rows.sum(axis=0)
-        d_rows = d_rows @ k.reshape(k.shape[0], -1)
+        d_rows = d_rows @ phi.conv_kernels[i]
     return grads, d_rows
 
 

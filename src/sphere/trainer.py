@@ -12,7 +12,7 @@ import numpy as np
 
 from . import data as datamod
 from . import network as net
-from .linalg import NumericsError
+from .linalg import NumericsError, as_matrix
 from .losses import input_gram, structural_grads
 from .oracle import cka, svd_alignment
 
@@ -339,7 +339,7 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
     """
     # X^T X = R^T R, so the loss and X^T dL/dZ at Z = R W equal those at Z = X W,
     # while each step forms min(B, N)^2 Grams instead of B x B ones
-    x = np.linalg.qr(np.asarray(x, dtype=np.float64), mode="r")
+    x = np.linalg.qr(as_matrix(x, dtype=np.float64), mode="r")
     n = x.shape[1]
     rng = np.random.default_rng(seed)
     params = {"w": np.linalg.qr(rng.standard_normal((n, m)))[0]}
@@ -376,8 +376,7 @@ def run_linearity_study(epochs: int, seed: int):
     lin_opt = AdamW(lin, lr=2e-2)
     w0, w1, w2 = (rng.standard_normal((i, o)) / math.sqrt(i)
                   for i, o in ((n, 128), (128, 128), (128, m)))
-    # the 1x1 kernels are (O, C, 1, 1) views of the (C, O) weights
-    phi = net.AuxBlock(conv_kernels=[w0.T[..., None, None], w1.T[..., None, None]],
+    phi = net.AuxBlock(conv_kernels=[w0.T, w1.T],
                        conv_biases=[np.zeros(128), np.zeros(128)],
                        fc_w=w2, fc_b=np.zeros(m), activation="tanh")
     nl_opt = AdamW(phi.params(), lr=3e-3)

@@ -23,7 +23,8 @@ from sphere.data import (SyntheticSpec, channel_stats, harmonic_spectrum,
                          load_cifar10, make_synthetic_images,
                          serialize_cifar10, subset, synth_gaussian, to_float)
 from sphere.linalg import frob_norm_sq, svd
-from sphere.losses import orth_grad_linear, orth_loss, sphere_grad_linear, sphere_loss
+from sphere.losses import (input_gram, orth_loss, sphere_grad_linear, sphere_loss,
+                           structural_grads)
 from sphere.oracle import principal_projection
 from sphere.plasticity import oja_step
 from sphere.trainer import (AdamW, TrainConfig, build_blocks, evaluate_config,
@@ -97,12 +98,14 @@ def test_criterion_3_gradient_fidelity():
         worst_s = max(worst_s, abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-10))
     ok_s = worst_s <= 1e-5
 
-    # orth gradient: direction cosine >= 1 - 1e-8 and exactly 1/4 magnitude
-    go = orth_grad_linear(x, w)
+    # the orth gradient training takes, at lam = 1/4: direction cosine
+    # >= 1 - 1e-8 and exactly 1/4 magnitude
+    go = x.T @ structural_grads(x @ w, input_gram(x, normalize=False), lam=0.25,
+                                normalize=False, use_sphere=False)[1]
     fd_full = np.zeros_like(w)
     for fi in range(w.size):
         i = np.unravel_index(fi, w.shape)
-        fd_full[i] = _fd(lambda: orth_loss(x @ w, normalize=False), w, i, 1e-6)
+        fd_full[i] = _fd(lambda: orth_loss(x @ w), w, i, 1e-6)
     cos = float(np.sum(go * fd_full) / (np.linalg.norm(go) * np.linalg.norm(fd_full)))
     ratio = np.linalg.norm(fd_full) / np.linalg.norm(go)
     ok_o = cos >= 1 - 1e-8 and abs(ratio - 4.0) < 1e-4

@@ -3,7 +3,9 @@
 A name counts as used when it appears as a Name, an Attribute or a string
 constant (perfbench's TRACED table names functions as strings) in the
 package itself, in perfbench or in the acceptance criteria.  The other
-unit tests do not count: a name that only they reach is dead code.
+unit tests do not count: a name that only they reach is dead code.  A name
+that only perfbench reaches is listed in PERFBENCH_ONLY, so the list shows
+what the benchmark alone keeps in the package.
 """
 
 import ast
@@ -13,7 +15,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sphere").glob("*.py"))
-CALLERS = [*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+OWN_CALLERS = [*PACKAGE, ROOT / "tests" / "test_acceptance.py"]
+PERFBENCH_ONLY = {"MemoryConstraintError"}
 
 
 def _parse(path):
@@ -35,9 +39,9 @@ def public_names():
     return dict(out)
 
 
-def used_names():
+def used_names(paths):
     used = set()
-    for path in CALLERS:
+    for path in paths:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -49,10 +53,17 @@ def used_names():
 
 
 PUBLIC = public_names()
-USED = used_names()
+OWN_USED = used_names(OWN_CALLERS)
+USED = OWN_USED | used_names(PERFBENCH)
 
 
 @pytest.mark.parametrize("qualname", sorted(PUBLIC))
 def test_public_name_has_a_caller(qualname):
     has_caller = PUBLIC[qualname] in USED
     assert has_caller, f"{qualname} has no caller in src/sphere, perfbench or tests/test_acceptance.py"
+
+
+def test_perfbench_only_names_are_listed():
+    only = {name for name in PUBLIC.values() if name in USED and name not in OWN_USED}
+    assert only <= PERFBENCH_ONLY, f"only perfbench calls {sorted(only - PERFBENCH_ONLY)}"
+    assert PERFBENCH_ONLY <= only, f"no longer perfbench-only: {sorted(PERFBENCH_ONLY - only)}"

@@ -118,6 +118,16 @@ class TestGram:
         g = gram(rng.standard_normal((50, 30)))
         assert np.array_equal(g, g.T)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_exactly_symmetric_in_every_layout(self, dtype, layout):
+        # numpy forms one triangle of m @ m.T and mirrors it: no symmetrisation needed
+        a = np.random.default_rng(6).standard_normal((100, 60)).astype(dtype)
+        m = {"C": a[:50, :30].copy(), "F": np.asfortranarray(a[:50, :30]),
+             "strided": a[::2, ::2]}[layout]
+        g = gram(m)
+        assert np.array_equal(g, g.T)
+
     def test_psd(self):
         rng = np.random.default_rng(7)
         g = gram(rng.standard_normal((8, 3)))

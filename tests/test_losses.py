@@ -1,13 +1,14 @@
 """Loss and analytic-gradient tests.
 
 Gradients are verified against central finite differences computed here in
-the test (independent of the library's own machinery), and the
-orthogonality gradient's deliberate 1/4 constant is pinned exactly.  The
-training objective (structural_grads) is pinned to the reference
-evaluators sphere_loss and orth_loss, to the closed-form Oja-equivalent
-loss defined here (no command needs that loss, only this pin), and to a
-reference that row-normalizes Z and applies the normalisation's Jacobian
-explicitly, which the library folds into its B x B coefficients.
+the test (independent of the library's own machinery), and structural_grads'
+orthogonality gradient at lam = 1/4 is pinned to exactly 1/4 of the
+penalty's derivative.  The training objective (structural_grads) is pinned
+to the reference evaluators sphere_loss and orth_loss, to the closed-form
+Oja-equivalent loss defined here (no command needs that loss, only this
+pin), and to a reference that row-normalizes Z and applies the
+normalisation's Jacobian explicitly, which the library folds into its
+B x B coefficients.
 """
 
 import tracemalloc
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from sphere.linalg import DEFAULT_EPS, NumericsError, as_matrix, gram, row_normalize
-from sphere.losses import (LossBundle, input_gram, orth_grad_linear, orth_loss,
-                           sphere_grad_linear, sphere_loss, structural_grads)
+from sphere.losses import (LossBundle, input_gram, orth_loss, sphere_grad_linear,
+                           sphere_loss, structural_grads)
 from sphere.oracle import principal_projection
 
 
@@ -85,6 +86,13 @@ def fd_grad(fun, w, h=1e-6):
         w[i] = orig
         g[i] = (fp - fm) / (2 * h)
     return g
+
+
+def orth_grad_quarter(x, w):
+    """X^T dL/dZ of structural_grads' raw penalty alone at lam = 1/4 for
+    Z = X W: 1/4 of the derivative of ||Z^T Z - I||_F^2."""
+    return x.T @ structural_grads(x @ w, input_gram(x, normalize=False), lam=0.25,
+                                  normalize=False, use_sphere=False)[1]
 
 
 class TestOjaEquivLoss:
@@ -195,19 +203,19 @@ class TestSphereGrad:
 class TestOrth:
     def test_zero_for_orthonormal(self):
         q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((6, 4)))
-        assert orth_loss(q, normalize=False) == pytest.approx(0.0, abs=1e-20)
+        assert orth_loss(q) == pytest.approx(0.0, abs=1e-20)
 
     def test_hand_value(self):
         z = np.array([[2.0, 0.0], [0.0, 1.0]])
         # Z^T Z - I = diag(3, 0)
-        assert orth_loss(z, normalize=False) == pytest.approx(9.0)
+        assert orth_loss(z) == pytest.approx(9.0)
 
     def test_grad_direction_matches_exact(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((7, 4))
         w = rng.standard_normal((4, 3)) * 0.7
-        g = orth_grad_linear(x, w)
-        fd = fd_grad(lambda: orth_loss(x @ w, normalize=False), w)
+        g = orth_grad_quarter(x, w)
+        fd = fd_grad(lambda: orth_loss(x @ w), w)
         cos = np.sum(g * fd) / (np.linalg.norm(g) * np.linalg.norm(fd))
         assert cos >= 1 - 1e-8
 
@@ -215,8 +223,8 @@ class TestOrth:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((7, 4))
         w = rng.standard_normal((4, 3)) * 0.7
-        g = orth_grad_linear(x, w)
-        fd = fd_grad(lambda: orth_loss(x @ w, normalize=False), w)
+        g = orth_grad_quarter(x, w)
+        fd = fd_grad(lambda: orth_loss(x @ w), w)
         assert np.allclose(4.0 * g, fd, rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("normalize", [True, False])
@@ -283,17 +291,17 @@ class TestInputGram:
 class TestStructuralGrads:
     @pytest.mark.parametrize("m", [5, 24])  # M < B and M > B
     def test_bundle_matches_reference_losses(self, m):
-        # training path: both terms equal the row-normalized reference
-        # evaluators up to rounding (those symmetrize their Grams, and
-        # orth_loss works from singular values), and the penalty equals
-        # ||Z^T Z - I||^2 formed in M x M
+        # training path: both terms equal the reference evaluators on
+        # row-normalized inputs up to rounding (those normalize the rows
+        # before the Gram, and orth_loss works from singular values), and
+        # the penalty equals ||Z^T Z - I||^2 formed in M x M
         rng = np.random.default_rng(15)
         x = rng.standard_normal((9, 20))
         z = rng.standard_normal((9, m)) * rng.uniform(0.5, 2.0, size=(9, 1))
         bundle, _ = structural_grads(z, input_gram(x), lam=0.8)
         assert bundle.sphere == pytest.approx(sphere_loss(z, x, normalize=True), rel=1e-12)
-        assert bundle.orth == pytest.approx(orth_loss(z, normalize=True), rel=1e-12)
         zn = row_normalize(z)
+        assert bundle.orth == pytest.approx(orth_loss(zn), rel=1e-12)
         direct = np.sum((zn.T @ zn - np.eye(m)) ** 2)
         assert bundle.orth == pytest.approx(direct, rel=1e-12)
 

@@ -284,7 +284,7 @@ class TestBlockForward:
         yp = rng.standard_normal((3, 8, 4, 4))
         h = yp
         for k, b in zip(phi.conv_kernels, phi.conv_biases):
-            h = net.activation(phi.activation, conv2d_naive(h, k, b, pad=0))
+            h = net.activation(phi.activation, conv2d_naive(h, k[:, :, None, None], b, pad=0))
         expected = h.mean(axis=(2, 3)) @ phi.fc_w + phi.fc_b
         z, _ = net._aux_forward(phi, pooled_rows(yp), 16)
         assert np.allclose(z, expected, atol=1e-12)

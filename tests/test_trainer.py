@@ -318,6 +318,14 @@ class TestTrainLinearBlock:
         trainer.train_linear_block(x, 8, steps=5)
         assert shapes == [((32, 8), (32, 32))] * 5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        # refused before the QR, which would turn an inf into NaNs and warn
+        x = np.random.default_rng(2).standard_normal((16, 8))
+        x[3, 4] = bad
+        with pytest.raises(NumericsError):
+            trainer.train_linear_block(x, 4, steps=1)
+
     def test_first_history_entry_is_the_loss_on_x(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((64, 32))
