@@ -327,7 +327,22 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k: int = 5) -> 
 
 
 # ---------------------------------------------------------------------------
-# linear block training (oracle verification path)
+# full-batch linear training (verify-lemma and the linearity study's linear branch)
+
+
+def _linear_steps(x, w, lr: float, steps: int):
+    """Full-batch AdamW on the raw structural loss of Z = X W, cosine lr from
+    `lr`: updates w in place and yields the loss each step's gradient was
+    taken at."""
+    # X^T X = R^T R, so the loss and X^T dL/dZ at Z = R W equal those at Z = X W,
+    # while each step forms min(B, N)^2 Grams instead of B x B ones
+    r = np.linalg.qr(x, mode="r")
+    kr = input_gram(r, normalize=False)
+    opt = AdamW({"w": w}, lr=lr)
+    for step in range(steps):
+        bundle, dz = structural_grads(r @ w, kr, normalize=False)
+        opt.step({"w": r.T @ dz}, lr=cosine_lr(step, steps, lr))
+        yield bundle.sphere
 
 
 def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0):
@@ -337,20 +352,9 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
     Returns (w, history): history[i] is the raw sphere loss at the weights
     that step i's gradient was taken at.
     """
-    # X^T X = R^T R, so the loss and X^T dL/dZ at Z = R W equal those at Z = X W,
-    # while each step forms min(B, N)^2 Grams instead of B x B ones
-    x = np.linalg.qr(as_matrix(x, dtype=np.float64), mode="r")
-    n = x.shape[1]
-    rng = np.random.default_rng(seed)
-    params = {"w": np.linalg.qr(rng.standard_normal((n, m)))[0]}
-    opt = AdamW(params, lr=1e-2)
-    kx = input_gram(x, normalize=False)
-    history = []
-    for step in range(steps):
-        bundle, dz = structural_grads(x @ params["w"], kx, normalize=False)
-        opt.step({"w": x.T @ dz}, lr=cosine_lr(step, steps, 1e-2))
-        history.append(bundle.sphere)
-    return params["w"], history
+    x = as_matrix(x, dtype=np.float64)
+    w = np.linalg.qr(np.random.default_rng(seed).standard_normal((x.shape[1], m)))[0]
+    return w, list(_linear_steps(x, w, 1e-2, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +376,7 @@ def run_linearity_study(epochs: int, seed: int):
     x = datamod.synth_gaussian(spec)
     rng = np.random.default_rng(seed + 1)
 
-    lin = {"w": rng.standard_normal((n, m)) / math.sqrt(n)}
-    lin_opt = AdamW(lin, lr=2e-2)
+    w_lin = rng.standard_normal((n, m)) / math.sqrt(n)
     w0, w1, w2 = (rng.standard_normal((i, o)) / math.sqrt(i)
                   for i, o in ((n, 128), (128, 128), (128, m)))
     phi = net.AuxBlock(conv_kernels=[w0.T, w1.T],
@@ -384,26 +387,20 @@ def run_linearity_study(epochs: int, seed: int):
     kx = input_gram(x, normalize=False)
     cka_curve = []
     steps_per_epoch = 40
-    for epoch in range(epochs + 1):
-        z_lin = x @ lin["w"]
-        z_nl, _ = net._aux_forward(phi, x, 1)
-        cka_curve.append(cka(z_lin, z_nl))
-        if epoch == epochs:
-            break
-        for it in range(steps_per_epoch):
-            step = epoch * steps_per_epoch + it
-            _, dz_lin = structural_grads(x @ lin["w"], kx, normalize=False)
-            lin_opt.step({"w": x.T @ dz_lin},
-                         lr=cosine_lr(step, epochs * steps_per_epoch, 2e-2))
-            z, cache = net._aux_forward(phi, x, 1)
-            _, dz = structural_grads(z, kx, normalize=False)
-            nl_opt.step(net._aux_backward(phi, cache, dz, 1)[0],
-                        lr=cosine_lr(step, epochs * steps_per_epoch, 3e-3))
+    total = epochs * steps_per_epoch
+    lin_steps = _linear_steps(x, w_lin, 2e-2, total)
+    for step in range(total):
+        z, cache = net._aux_forward(phi, x, 1)
+        if step % steps_per_epoch == 0:  # both branches as they enter the epoch
+            cka_curve.append(cka(x @ w_lin, z))
+        next(lin_steps)
+        _, dz = structural_grads(z, kx, normalize=False)
+        nl_opt.step(net._aux_backward(phi, cache, dz, 1)[0], lr=cosine_lr(step, total, 3e-3))
 
-    z_lin = x @ lin["w"]
+    z_lin = x @ w_lin
     z_nl, _ = net._aux_forward(phi, x, 1)
-    align = svd_alignment(z_lin.T, z_nl.T, k=36)
-    return cka_curve, align
+    cka_curve.append(cka(z_lin, z_nl))
+    return cka_curve, svd_alignment(z_lin.T, z_nl.T, k=36)
 
 
 # ---------------------------------------------------------------------------

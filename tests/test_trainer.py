@@ -304,8 +304,16 @@ class TestEvaluateConfig:
 
 
 class TestTrainLinearBlock:
-    def test_steps_see_at_most_n_rows(self, monkeypatch):
-        # each step works on X's N x N triangular factor, whatever B is
+    @pytest.mark.parametrize("run, expected", [
+        (lambda: trainer.train_linear_block(np.random.default_rng(0).standard_normal((256, 32)),
+                                            8, steps=5),
+         [((32, 8), (32, 32))] * 5),
+        # the study's linear step, then its head step, on 256 x 64 input
+        (lambda: trainer.run_linearity_study(epochs=1, seed=0),
+         [((64, 40), (64, 64)), ((256, 40), (256, 256))] * 40),
+    ], ids=["train_linear_block", "run_linearity_study"])
+    def test_steps_see_at_most_n_rows(self, monkeypatch, run, expected):
+        # each linear step works on X's N x N triangular factor, whatever B is
         shapes = []
         real = trainer.structural_grads
 
@@ -314,9 +322,22 @@ class TestTrainLinearBlock:
             return real(z, kx, **kwargs)
 
         monkeypatch.setattr(trainer, "structural_grads", spy)
-        x = np.random.default_rng(0).standard_normal((256, 32))
-        trainer.train_linear_block(x, 8, steps=5)
-        assert shapes == [((32, 8), (32, 32))] * 5
+        run()
+        assert shapes == expected
+
+    def test_linearity_study_forwards_its_head_once_per_step(self, monkeypatch):
+        # 80 steps and one final forward; each epoch's CKA point reuses its step's forward
+        calls = []
+        real = net._aux_forward
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(net, "_aux_forward", spy)
+        curve, _ = trainer.run_linearity_study(epochs=2, seed=0)
+        assert len(calls) == 81
+        assert len(curve) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, bad):
