@@ -264,18 +264,17 @@ def cmd_verify_lemma(args, cfg):
 
 def _fd_rel_err(fun, param, grad, h=1e-5, probes=6, seed=0):
     rng = np.random.default_rng(seed)
-    flat = param.reshape(-1)
     worst = 0.0
-    idx = rng.choice(flat.size, size=min(probes, flat.size), replace=False)
-    for i in idx:
-        orig = flat[i]
-        flat[i] = orig + h
+    idx = rng.choice(param.size, size=min(probes, param.size), replace=False)
+    for i in zip(*np.unravel_index(idx, param.shape)):  # param in place, whatever its layout
+        orig = param[i]
+        param[i] = orig + h
         fp = fun()
-        flat[i] = orig - h
+        param[i] = orig - h
         fm = fun()
-        flat[i] = orig
+        param[i] = orig
         fd = (fp - fm) / (2 * h)
-        g = grad.reshape(-1)[i]
+        g = grad[i]
         denom = max(abs(fd), abs(g), 1e-12)
         worst = max(worst, abs(fd - g) / denom)
     return worst

@@ -14,21 +14,26 @@ pass evaluates the activation derivative at the pre-activation it caches.
 
 Memory layout: feature maps between blocks have the logical NCHW shape
 (B, C, H, W) but are channels-last (NHWC) in memory, i.e. NCHW views of
-(B, H, W, C) arrays.  Inside a block the conv rows are pool-major: im2col
-writes them as (4, n, K), n = B*OH/2*OW/2, the position in each 2x2
-pooling window outermost and each quarter's rows in (b, i, j) order of the
-pooled map.  So the conv GEMM yields (4, n, O), max-pooling and its
-backward pass are elementwise work on four contiguous (n, O) blocks, and
-the pooled rows are the channels-last output map and the aux head's input
-rows with no transpose copy.  The step's batch Grams ignore column order,
-so they read rows in memory order: K_X the input's own (B, D) row view,
-and Z without a head the pooled rows viewed as (B, h*w*C).
+(B, H, W, C) arrays.  A block runs its conv, bias and max-pool CHUNK images
+at a time.  A chunk's conv rows are pool-major: im2col writes them as
+(4, n, K), n = m*OH/2*OW/2 for m images, the position in each 2x2 pooling
+window outermost and each quarter's rows in (b, i, j) order of the pooled
+map.  So the conv GEMM yields (4, n, O), max-pooling and its backward pass
+are elementwise work on four contiguous (n, O) blocks, and the chunks'
+pooled rows, one after another, are the channels-last output map and the
+aux head's input rows with no transpose copy.  The step's batch Grams ignore
+column order, so they read rows in memory order: K_X the input's own (B, D)
+row view, and Z without a head the pooled rows viewed as (B, h*w*C).
 
 Workspace: block_backward takes an optional `work` dict, one per training
-stage, whose buffers hold the padded input, the im2col rows and the conv
-output from step to step; each is replaced when its shape or dtype
-changes.  The max-pool backward pass writes its gradient over the conv
-output.  Results do not depend on `work`.
+stage, whose buffers hold one chunk's padded input and im2col rows and the
+batch's conv output from step to step; each is replaced when its shape or
+dtype changes, and a ragged last chunk gets temporaries.  The backward pass
+writes the max-pool gradient over the conv output and rebuilds each chunk's
+rows for its kernel-gradient GEMM.  Results do not depend on `work`.
+CHUNK = 8 holds a chunk's float32 rows to 0.9-3.5 MB at the desk widths
+(the whole batch's reach 57 MB), under numpy's 4 MB huge-page threshold;
+16 images per chunk took more memory and no less time.
 """
 
 import math
@@ -40,6 +45,7 @@ from numpy.lib.stride_tricks import as_strided
 from .linalg import NumericsError
 from .losses import input_gram, structural_grads
 
+CHUNK = 8  # images per conv pass; only the kernel gradient's rounding depends on it
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
 LEAKY_SLOPE = 0.01
 
@@ -125,25 +131,25 @@ def im2col(x, kh, kw, stride, pad, *, work=None):
     return cols.reshape(4, -1, kh * kw * c)
 
 
-def conv_forward(x, kernel, bias, *, work=None):
+def conv_forward(x, kernel, bias, *, work=None, out=None):
     """Stride-1 cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw),
     zero-padded by 1.
 
     Returns (q, cache): q is the (4, n, O) pool-major output rows (see
-    im2col), and cache = ((B, OH/2, OW/2), cols, kernel) feeds
-    conv_backward; its first entry shapes pooled rows into a map.  With a
-    workspace dict (see im2col), cols and q are its buffers.
+    im2col), written into the (4n, O) array `out` when given, and cache =
+    (None, cols, kernel) feeds conv_backward (perfbench's tracer reads the
+    kernel at index 2).  With a workspace dict (see im2col), cols is its
+    buffer.
     """
-    b, c, h, w = x.shape
+    c = x.shape[1]
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise NumericsError(f"channel mismatch: input {c}, kernel {ck}")
-    oh, ow = _out_hw(h, w, kh, kw, 1, 1)
     cols = im2col(x, kh, kw, 1, 1, work=work)
     wt = kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
-    q = np.matmul(cols, wt, out=_buffer(work, "q", (*cols.shape[:2], o), np.result_type(cols, wt)))
+    q = np.matmul(cols.reshape(-1, kh * kw * c), wt, out=out).reshape(4, -1, o)  # one GEMM
     q += bias
-    return q, ((b, oh // 2, ow // 2), cols, kernel)
+    return q, (None, cols, kernel)
 
 
 def conv_backward(dq, cache):
@@ -165,10 +171,11 @@ def conv_backward(dq, cache):
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2x2_forward(q):
+def maxpool2x2_forward(q, out=None):
     """2x2 max-pool of pool-major rows q (4, n, C): the elementwise max of
-    the four quarters, (n, C).  The cache is (q, out)."""
-    out = np.maximum(q[0], q[1])
+    the four quarters, (n, C), written into `out` when given.  The cache is
+    (q, out)."""
+    out = np.maximum(q[0], q[1], out=out)
     np.maximum(out, q[2], out=out)
     np.maximum(out, q[3], out=out)
     return out, (q, out)
@@ -248,8 +255,9 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
 
 def init_main_block(in_ch, out_ch, rng, activation="leaky_relu", use_skip=False, dtype=np.float64):
     fan_in = in_ch * 9
-    return MainBlock(
-        kernel=_kaiming_uniform(rng, (out_ch, in_ch, 3, 3), fan_in, dtype),
+    kernel = _kaiming_uniform(rng, (out_ch, in_ch, 3, 3), fan_in, dtype)
+    return MainBlock(  # a channels-last kernel: each chunk's GEMM reads it with no copy
+        kernel=np.ascontiguousarray(kernel.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
         bias=_kaiming_uniform(rng, (out_ch,), fan_in, dtype),
         activation=activation,
         use_skip=use_skip,
@@ -274,24 +282,41 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
     )
 
 
+def _chunks(x, n, work):
+    """(images, pooled rows, conv rows, workspace) of each CHUNK images of x
+    in turn, n pooled rows per image; a ragged last chunk gets no workspace,
+    so the buffers keep their one shape."""
+    for i in range(0, len(x), CHUNK):
+        xc = x[i:i + CHUNK]
+        j = i + len(xc)
+        yield (xc, slice(n * i, n * j), slice(4 * n * i, 4 * n * j),
+               work if len(xc) == min(len(x), CHUNK) else None)
+
+
 def _main_forward(f: MainBlock, x, train: bool = True, *, work=None):
     """Main-path output of block f on x and, when train is set, the cache
-    block_backward reads: (conv cache, pool cache), whose pooled map is the
-    pre-activation.  With train False the cache is None, and no im2col rows
-    or pool cache outlive their use.  `work` is conv_forward's workspace."""
-    q, conv_cache = conv_forward(x, f.kernel, f.bias, work=work)
-    grid = conv_cache[0]
-    if not train:
-        conv_cache = None  # frees the im2col rows before the activation
-    pooled, pool_cache = maxpool2x2_forward(q)
-    p = activation(f.activation, pooled).reshape(*grid, -1).transpose(0, 3, 1, 2)  # channels-last
+    block_backward reads: (q, pre), the batch's chunk-major conv rows and
+    its pooled map, the pre-activation.  With train False the cache is
+    None, and q holds one chunk in a workspace of the call's own."""
+    b, _, h, w = x.shape
+    o = f.kernel.shape[0]
+    hw = (h // 2) * (w // 2)  # pooled rows per image
+    work = {} if work is None else work
+    dtype = np.result_type(x, f.kernel)
+    pre = np.empty((b * hw, o), dtype)
+    q = _buffer(work, "q", (4 * hw * (b if train else min(b, CHUNK)), o), dtype)
+    for xc, rows, conv_rows, chunk_work in _chunks(x, hw, work):
+        out = q[conv_rows] if train else q[:4 * hw * len(xc)]
+        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias, work=chunk_work, out=out)[0],
+                           out=pre[rows])
+    p = activation(f.activation, pre).reshape(b, h // 2, w // 2, o).transpose(0, 3, 1, 2)
     if f.use_skip:
         # detached: no gradient flows back through skip.  Missing skip
         # channels count as zeros, surplus ones are dropped.
         skip = avgpool2x2(x)
         n = min(skip.shape[1], p.shape[1])
         p[:, :n] += skip[:, :n]
-    return p, (conv_cache, pool_cache) if train else None
+    return p, (q, pre) if train else None
 
 
 def _aux_forward(phi: AuxBlock, rows, hw: int):
@@ -333,15 +358,15 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
 
     Returns (grads, bundle) where grads maps "main.<name>" / "aux.<name>"
     to arrays shaped like the parameters.  No input gradient is produced.
-    `work` is conv_forward's optional workspace, shared by the steps of a
-    stage; the max-pool backward pass writes over its conv output.
+    `work` is the optional workspace (module docstring), shared by the
+    steps of a stage.
     """
     if x.shape[0] < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
     # K_X from x's rows in memory order: free for a C-contiguous or channels-last x
     nhwc = x.transpose(0, 2, 3, 1)
     kx = input_gram((nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1))
-    yp, (conv_cache, pool_cache) = _main_forward(f, x, work=work)
+    yp, (q, pre) = _main_forward(f, x, work=work)
     b, c, h, w = yp.shape
     rows = yp.transpose(0, 2, 3, 1).reshape(-1, c)  # the pooled rows: a free view
     if phi is None:
@@ -361,10 +386,18 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     # row of dq (written over the conv output), so the bias gradient is the
     # sum of the n routed gradients: per image, then over the batch, which
     # at the block shapes is as fast as one pass over the n rows and 3-11x
-    # more accurate in float32.
-    g *= activation_grad(f.activation, pool_cache[1])  # at the pooled map; g is fresh
-    dq = maxpool2x2_backward(g, pool_cache)
-    grads["main.kernel"] = conv_backward(dq, conv_cache)
+    # more accurate in float32.  The kernel gradient is the sum of each
+    # chunk's GEMM on its rebuilt im2col rows.
+    g *= activation_grad(f.activation, pre)  # at the pooled map; g is fresh
+    kh, kw = f.kernel.shape[2:]
+    for xc, pooled_rows, conv_rows, chunk_work in _chunks(x, h * w, work):
+        dq = maxpool2x2_backward(g[pooled_rows],
+                                 (q[conv_rows].reshape(4, -1, c), pre[pooled_rows]))
+        dk = conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1, work=chunk_work), f.kernel))
+        if pooled_rows.start:
+            grads["main.kernel"] += dk
+        else:
+            grads["main.kernel"] = dk
     grads["main.bias"] = g.reshape(b, -1, c).sum(axis=1).sum(axis=0)
     return grads, bundle
 

@@ -177,15 +177,11 @@ def build_blocks(config: TrainConfig, in_channels: int, rng):
 
 
 def _forward(blocks, x):
-    """Main-path output of `blocks` applied in turn to x, 256 images at a
-    time so im2col buffers stay bounded on large inputs; builds no cache."""
-    outs = []
-    for i in range(0, len(x), 256):
-        h = x[i : i + 256]
-        for f, _ in blocks:
-            h, _ = net._main_forward(f, h, train=False)
-        outs.append(h)
-    return np.concatenate(outs)
+    """Main-path output of `blocks` applied in turn to all of x; builds no
+    cache.  Each block bounds its own im2col rows to network.CHUNK images."""
+    for f, _ in blocks:
+        x, _ = net._main_forward(f, x, train=False)
+    return x
 
 
 def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
@@ -259,7 +255,8 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
 
 def features(blocks, images) -> np.ndarray:
     """Post-pool output of the final block, flattened in NCHW column order
-    (the probe's initial weights pair with these columns)."""
+    (the probe's initial weights pair with these columns).  Each block runs
+    once over all images, network.CHUNK images at a time."""
     return _forward(blocks, images).reshape(len(images), -1)
 
 

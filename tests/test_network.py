@@ -7,6 +7,8 @@ All finite-difference checks run in float64; the step sizes below were
 chosen to stay clear of maxpool ties.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,7 +245,8 @@ class TestPooling:
         f = net.MainBlock(kernel=np.zeros((2, 3, 3, 3)), bias=np.ones(2),
                           activation="binary_step")
         x = np.random.default_rng(19).standard_normal((2, 3, 4, 6))
-        _, (_, pool_cache) = net._main_forward(f, x)
+        _, (q, pre) = net._main_forward(f, x)  # one chunk: q is pool-major
+        pool_cache = (q.reshape(4, -1, 2), pre)
         g = np.ones((2 * 2 * 3, 2))  # the pooled rows of yp (2, 2, 2, 3)
         d_act = net.activation_grad(f.activation, pool_cache[1])  # at the pooled map
         da = net.maxpool2x2_backward(g * d_act, pool_cache)
@@ -301,6 +304,8 @@ class TestBlockForward:
         yp, _ = net._main_forward(f, x)
         assert yp.shape == (2, 8, 4, 4)
         assert yp.transpose(0, 2, 3, 1).flags.c_contiguous
+        # and the kernel is (O, kh, kw, C) in memory: each chunk's GEMM reads it with no copy
+        assert f.kernel.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_no_phi_returns_flat_main(self):
         # without a head, the loss is taken on the main output's pooled rows
@@ -384,7 +389,8 @@ class TestPoolOrder:
         f = net.MainBlock(kernel=k, bias=np.zeros(1), activation="binary_step", use_skip=True)
         x = np.random.default_rng(23).uniform(0.05, 0.95, size=(4, 1, 4, 4))
         x[0, 0, :2, :2] = [[0.3, 0.5], [0.1, 0.2]]
-        _, (_, pool_cache) = net._main_forward(f, x)
+        _, (q, pre) = net._main_forward(f, x)  # one chunk: q is pool-major
+        pool_cache = (q.reshape(4, -1, 1), pre)
         d_act = net.activation_grad(f.activation, pool_cache[1])  # at the pooled map
         dq = net.maxpool2x2_backward(np.ones((4 * 2 * 2, 1)), pool_cache)
         assert np.array_equal(to_nchw(dq, 4, 4, 4)[0, 0, :2, :2], [[0.0, 1.0], [0.0, 0.0]])
@@ -449,41 +455,45 @@ class TestBlockReference:
         # five values
         rng = np.random.default_rng(26)
         x = rng.integers(-2, 3, size=(3, 2, 6, 8)) * 0.5
-        x[0] = 0.0
         kernel = rng.integers(-2, 3, size=(3, 2, 3, 3)) * 0.25
         kernel[1] = 0.0
         f = net.MainBlock(kernel=kernel, bias=rng.integers(-4, 5, size=3) * 0.125,
                           activation=kind)
-        expected_yp, expected = reference_block(f, x, lam=0.8)
-        yp, _ = net._main_forward(f, x)
-        assert np.array_equal(yp, expected_yp)
-        grads, _ = net.block_backward(f, None, x, lam=0.8)
-        for name, ref in expected.items():
-            assert np.any(ref), name
-            err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
-            assert err <= 1e-12, f"{name}: relative {err:.3g}"
+        # the second batch runs as two full chunks and a ragged one
+        for x in (x, rng.integers(-2, 3, size=(2 * net.CHUNK + 3, 2, 6, 8)) * 0.5):
+            x[0] = 0.0
+            expected_yp, expected = reference_block(f, x, lam=0.8)
+            yp, _ = net._main_forward(f, x)
+            assert np.array_equal(yp, expected_yp)
+            grads, _ = net.block_backward(f, None, x, lam=0.8)
+            for name, ref in expected.items():
+                assert np.any(ref), name
+                err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-12, f"{name}: relative {err:.3g}"
 
 
-FD_ROWS = [
-    ("leaky_relu", 1, False, 8),
-    ("leaky_relu", 2, True, 8),
-    ("tanh", 0, False, 8),
-    ("relu", 1, False, 8),
-    ("sigmoid", 1, True, 8),
-    ("leaky_relu", None, False, 8),  # no head: orth on the flattened output
-    ("tanh", 2, False, 2),  # 1x1 pooled map: the head's shape in the linearity study
+FD_ROWS = [  # activation, head depth, skip, image side, batch
+    ("leaky_relu", 1, False, 8, 5),
+    ("leaky_relu", 2, True, 8, 5),
+    ("tanh", 0, False, 8, 5),
+    ("relu", 1, False, 8, 5),
+    ("sigmoid", 1, True, 8, 5),
+    ("leaky_relu", None, False, 8, 5),  # no head: orth on the flattened output
+    ("tanh", 2, False, 2, 5),  # 1x1 pooled map: the head's shape in the linearity study
+    ("leaky_relu", 1, True, 8, 2 * net.CHUNK + 3),  # two full chunks and a ragged one
 ]
 
 
 class TestBlockBackward:
-    @pytest.mark.parametrize("activation,depth,use_skip,side", FD_ROWS, ids=[
-        f"{a}-{d}-{s}" + ("" if side == 8 else f"-{side}x{side}") for a, d, s, side in FD_ROWS])
-    def test_fd_all_params(self, activation, depth, use_skip, side):
+    @pytest.mark.parametrize("activation,depth,use_skip,side,batch", FD_ROWS, ids=[
+        f"{a}-{d}-{s}" + ("" if side == 8 else f"-{side}x{side}") + ("" if b == 5 else f"-b{b}")
+        for a, d, s, side, b in FD_ROWS])
+    def test_fd_all_params(self, activation, depth, use_skip, side, batch):
         rng = np.random.default_rng(3)
         f = net.init_main_block(3, 8, rng, activation=activation, use_skip=use_skip)
         phi = None if depth is None else net.init_aux_block(
             8, d_proj=12, depth=depth, rng=rng, activation=activation)
-        x = rng.standard_normal((5, 3, side, side))
+        x = rng.standard_normal((batch, 3, side, side))
         grads, _ = net.block_backward(f, phi, x, lam=0.8)
         params = net.block_params(f, phi)
         h = 1e-5
@@ -509,13 +519,14 @@ class TestBlockBackward:
     @pytest.mark.parametrize("activation", ["leaky_relu", "binary_step"])
     def test_workspace_matches_fresh_buffers(self, activation, depth, use_skip, dtype):
         # one work dict over two batches of one shape, then a smaller batch
-        # that replaces every buffer: each call equals a call without it
+        # that replaces every buffer, and the same with a batch of two full
+        # chunks and a ragged one: each call equals a call without it
         rng = np.random.default_rng(20)
         f = net.init_main_block(3, 8, rng, activation=activation, use_skip=use_skip, dtype=dtype)
         phi = None if depth is None else net.init_aux_block(
             8, 12, depth, rng, activation=activation, dtype=dtype)
-        work, kept = {}, {}
-        for b in (5, 5, 3):
+        work, kept, prev = {}, {}, None
+        for b in (5, 5, 3, 2 * net.CHUNK + 3, 2 * net.CHUNK + 3, 3):
             x = rng.standard_normal((b, 3, 8, 8)).astype(dtype)
             grads, bundle = net.block_backward(f, phi, x, lam=0.8, work=work)
             want_grads, want_bundle = net.block_backward(f, phi, x, lam=0.8)
@@ -527,9 +538,25 @@ class TestBlockBackward:
             xp = work["xp"]
             assert not xp[:, [0, -1]].any() and not xp[:, :, [0, -1]].any()  # zero border
             assert xp[:, 1:-1, 1:-1].any()
-            if kept:  # the second batch reuses every buffer, the third replaces them
-                assert all((work[k] is kept[k]) == (b == 5) for k in work)
-            kept = dict(work)
+            if kept:  # a batch of the previous size reuses every buffer, another replaces them
+                assert all((work[k] is kept[k]) == (b == prev) for k in work)
+            kept, prev = dict(work), b
+
+    def test_desk_block1_step_fits_in_50mb(self):
+        # one float32 step at desk block 1: 128 channels-last images, 48 -> 96
+        # channels, 16x16, head depth 1.  The batch's im2col rows alone
+        # would take 56.6 MB; one chunk's take 3.5 MB
+        rng = np.random.default_rng(28)
+        f = net.init_main_block(48, 96, rng, dtype=np.float32)
+        phi = net.init_aux_block(96, 256, 1, rng, dtype=np.float32)
+        x = rng.standard_normal((128, 16, 16, 48), dtype=np.float32).transpose(0, 3, 1, 2)
+        tracemalloc.start()
+        try:
+            net.block_backward(f, phi, x, lam=0.8, work={})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("depth", [None, 1])
     def test_input_layout_changes_only_rounding(self, depth):

@@ -111,6 +111,37 @@ def test_tracer_times_every_block(monkeypatch):
             assert metrics[f"network.{kernel}.b{b}.ms"] > 0, (kernel, b)
 
 
+def test_tracer_times_every_block_over_several_chunks(monkeypatch):
+    # test_tracer_times_every_block's checks with every step's batch split
+    # into two full chunks and a ragged one: each chunk's im2col, conv and
+    # max-pool calls are spans of their block
+    spans = _load("spans")
+    tracer = spans.Tracer("test")
+    n = 2 * net.CHUNK + 3
+    x = np.random.default_rng(0).standard_normal((n, 3, 8, 8))
+    config = trainer.TrainConfig(channels=(2, 2, 2), epochs=3, batch_size=n, d_proj=4)
+    flops = []
+    conv_forward = net.conv_forward
+
+    def counting_conv_forward(x, kernel, bias, **kw):
+        (b, c, h, w), o = x.shape, kernel.shape[0]
+        flops.append(2 * b * h * w * o * c * 9)
+        return conv_forward(x, kernel, bias, **kw)
+
+    monkeypatch.setattr(net, "conv_forward", counting_conv_forward)
+    tracer.install()
+    try:
+        trainer.train_greedy(config, x)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.names, tracer.arrays())
+    assert len(flops) == 3 * 3 + 2 * 3  # a step per block, and two re-forwards, of 3 chunks
+    assert metrics["network.conv_forward.gflop"] == sum(flops) / 1e9
+    for b in range(spans.N_BLOCKS):
+        for kernel in ("im2col", "conv_backward", "maxpool2x2_backward"):
+            assert metrics[f"network.{kernel}.b{b}.ms"] > 0, (kernel, b)
+
+
 @pytest.mark.parametrize("workload", [["desk-greedy"], ["ablate-wide"],
                                       ["lemma-linear", "--variant", "8"]],
                          ids=lambda w: w[0])

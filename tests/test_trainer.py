@@ -164,8 +164,8 @@ class TestTrainGreedy:
         assert param_checksum(net.block_params(*blocks[0])) == sum_before
 
     def test_each_stage_input_forwarded_once(self, forward_counts):
-        # outside block_backward, blocks 0..L-2 each run once over the
-        # training images (300 > one 256-image chunk) and block L-1 never
+        # outside block_backward, blocks 0..L-2 each run once over all 300
+        # training images and block L-1 never
         x, _ = tiny_dataset(n_per_class=30)
         cfg = TrainConfig(seed=0, channels=(4, 8, 8), epochs=3, batch_size=64, d_proj=8)
         trainer.train_greedy(cfg, x)
@@ -176,8 +176,7 @@ class TestTrainGreedy:
                                                  ("float64", (4,))])
     def test_last_input_is_the_last_stage(self, dtype, channels):
         # the handed-out array is blocks 0..L-2 on the images, bit for bit,
-        # and the last block on it gives the features of the whole stack;
-        # 300 images cross _forward's 256-image chunk
+        # and the last block on it gives the features of the whole stack
         x, _ = tiny_dataset(n_per_class=30)
         x = x.astype(dtype)
         cfg = TrainConfig(seed=0, channels=channels, epochs=len(channels), batch_size=64,
@@ -188,6 +187,20 @@ class TestTrainGreedy:
         assert stage[0].dtype == cfg.np_dtype
         assert np.array_equal(stage[0], trainer._forward(blocks[:-1], x))
         assert np.array_equal(features(blocks[-1:], stage[0]), features(blocks, x))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_features_do_not_depend_on_chunking(self, dtype):
+        # ragged splits, with edges inside chunks and on a chunk boundary,
+        # give the features of the whole batch byte for byte.  Run at the
+        # desk widths: at 4/8/8 channels a 1- or 2-image chunk's conv GEMM
+        # is small enough for OpenBLAS to round it differently
+        c = net.CHUNK
+        x, _ = tiny_dataset(n_per_class=3 * c // 10 + 2)
+        x = x.astype(dtype)
+        blocks = build_blocks(TrainConfig(dtype=dtype), 3, np.random.default_rng(0))
+        edges = [0, 1, c + 3, 2 * c, 3 * c + 1, len(x)]
+        parts = [features(blocks, x[i:j]) for i, j in zip(edges, edges[1:])]
+        assert np.concatenate(parts).tobytes() == features(blocks, x).tobytes()
 
     @pytest.mark.parametrize("use_phi", [True, False])
     def test_stage_workspace_changes_nothing(self, monkeypatch, use_phi):
