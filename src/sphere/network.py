@@ -26,11 +26,15 @@ column order, so they read rows in memory order: K_X the input's own (B, D)
 row view, and Z without a head the pooled rows viewed as (B, h*w*C).
 
 Workspace: block_backward takes an optional `work` dict, one per training
-stage, whose buffers hold one chunk's padded input and im2col rows and the
-batch's conv output from step to step; each is replaced when its shape or
-dtype changes, and a ragged last chunk gets temporaries.  The backward pass
-writes the max-pool gradient over the conv output and rebuilds each chunk's
-rows for its kernel-gradient GEMM.  Results do not depend on `work`.
+stage, that keeps one array from step to step: the batch's conv output q,
+replaced when its shape or dtype changes.  The backward pass writes the
+max-pool gradient over q and rebuilds each chunk's rows for its
+kernel-gradient GEMM.  All else is allocated where it is used.  Over a
+train_greedy run at the benchmark's ablate-wide and desk-greedy configs
+(1 BLAS thread), keeping q took 3554 and 8700 minor page faults, a fresh
+q per step 4066 and 9198, and keeping each chunk's padded input and rows
+as well 3986 and 8437.  Results do not depend on `work`.
+
 CHUNK = 8 holds a chunk's float32 rows to 0.9-3.5 MB at the desk widths
 (the whole batch's reach 57 MB), under numpy's 4 MB huge-page threshold;
 16 images per chunk took more memory and no less time.
@@ -97,55 +101,39 @@ def _out_hw(h, w, kh, kw, stride, pad):
     return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
 
-def _buffer(work, key, shape, dtype, make=np.empty):
-    """work[key] if it has this shape and dtype, else a new array from make
-    (kept in work when there is one)."""
-    if work is None:
-        return make(shape, dtype)
-    buf = work.get(key)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = work[key] = make(shape, dtype)
-    return buf
-
-
-def im2col(x, kh, kw, stride, pad, *, work=None):
+def im2col(x, kh, kw, stride, pad):
     """Pool-major patch rows of x (B,C,H,W): (4, n, kh*kw*C) with n =
     B*OH/2*OW/2.  Row r of quarter k is the patch of output position
     (2i+di, 2j+dj), where (b, i, j) is r's place in the pooled map and
     (di, dj) = _WINDOW[k]; columns are in (kh, kw, C) order.  One copy from
-    one strided view of the channels-last padded input.  With a workspace
-    dict, the padded input and the rows are its buffers."""
+    one strided view of the channels-last padded input."""
     b, c, h, w = x.shape
     oh, ow = _out_hw(h, w, kh, kw, stride, pad)
     if oh % 2 or ow % 2:
         raise NumericsError(f"2x2 pooling needs an even conv output, got {oh}x{ow}")
-    xp = _buffer(work, "xp", (b, h + 2 * pad, w + 2 * pad, c), x.dtype, np.zeros)
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)  # the border stays zero
     sb, sh, sw, sc = xp.strides
     s = stride
-    shape = (2, 2, b, oh // 2, ow // 2, kh, kw, c)
-    win = as_strided(xp, shape, (s * sh, s * sw, sb, 2 * s * sh, 2 * s * sw, sh, sw, sc),
-                     writeable=False)
-    cols = _buffer(work, "cols", shape, x.dtype)
-    cols[...] = win
-    return cols.reshape(4, -1, kh * kw * c)
+    win = as_strided(xp, (2, 2, b, oh // 2, ow // 2, kh, kw, c),
+                     (s * sh, s * sw, sb, 2 * s * sh, 2 * s * sw, sh, sw, sc), writeable=False)
+    return win.copy().reshape(4, -1, kh * kw * c)
 
 
-def conv_forward(x, kernel, bias, *, work=None, out=None):
+def conv_forward(x, kernel, bias, *, out=None):
     """Stride-1 cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw),
     zero-padded by 1.
 
     Returns (q, cache): q is the (4, n, O) pool-major output rows (see
     im2col), written into the (4n, O) array `out` when given, and cache =
     (None, cols, kernel) feeds conv_backward (perfbench's tracer reads the
-    kernel at index 2).  With a workspace dict (see im2col), cols is its
-    buffer.
+    kernel at index 2).
     """
     c = x.shape[1]
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise NumericsError(f"channel mismatch: input {c}, kernel {ck}")
-    cols = im2col(x, kh, kw, 1, 1, work=work)
+    cols = im2col(x, kh, kw, 1, 1)
     wt = kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
     q = np.matmul(cols.reshape(-1, kh * kw * c), wt, out=out).reshape(4, -1, o)  # one GEMM
     q += bias
@@ -282,33 +270,32 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
     )
 
 
-def _chunks(x, n, work):
-    """(images, pooled rows, conv rows, workspace) of each CHUNK images of x
-    in turn, n pooled rows per image; a ragged last chunk gets no workspace,
-    so the buffers keep their one shape."""
+def _chunks(x, n):
+    """(images, pooled rows, conv rows) of each CHUNK images of x in turn,
+    n pooled rows per image."""
     for i in range(0, len(x), CHUNK):
         xc = x[i:i + CHUNK]
         j = i + len(xc)
-        yield (xc, slice(n * i, n * j), slice(4 * n * i, 4 * n * j),
-               work if len(xc) == min(len(x), CHUNK) else None)
+        yield xc, slice(n * i, n * j), slice(4 * n * i, 4 * n * j)
 
 
 def _main_forward(f: MainBlock, x, train: bool = True, *, work=None):
     """Main-path output of block f on x and, when train is set, the cache
     block_backward reads: (q, pre), the batch's chunk-major conv rows and
     its pooled map, the pre-activation.  With train False the cache is
-    None, and q holds one chunk in a workspace of the call's own."""
+    None."""
     b, _, h, w = x.shape
     o = f.kernel.shape[0]
     hw = (h // 2) * (w // 2)  # pooled rows per image
     work = {} if work is None else work
     dtype = np.result_type(x, f.kernel)
     pre = np.empty((b * hw, o), dtype)
-    q = _buffer(work, "q", (4 * hw * (b if train else min(b, CHUNK)), o), dtype)
-    for xc, rows, conv_rows, chunk_work in _chunks(x, hw, work):
-        out = q[conv_rows] if train else q[:4 * hw * len(xc)]
-        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias, work=chunk_work, out=out)[0],
-                           out=pre[rows])
+    q = work.get("q")
+    if train and (q is None or q.shape != (4 * hw * b, o) or q.dtype != dtype):
+        q = work["q"] = np.empty((4 * hw * b, o), dtype)
+    for xc, rows, conv_rows in _chunks(x, hw):
+        out = q[conv_rows] if train else None
+        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias, out=out)[0], out=pre[rows])
     p = activation(f.activation, pre).reshape(b, h // 2, w // 2, o).transpose(0, 3, 1, 2)
     if f.use_skip:
         # detached: no gradient flows back through skip.  Missing skip
@@ -390,10 +377,10 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     # chunk's GEMM on its rebuilt im2col rows.
     g *= activation_grad(f.activation, pre)  # at the pooled map; g is fresh
     kh, kw = f.kernel.shape[2:]
-    for xc, pooled_rows, conv_rows, chunk_work in _chunks(x, h * w, work):
+    for xc, pooled_rows, conv_rows in _chunks(x, h * w):
         dq = maxpool2x2_backward(g[pooled_rows],
                                  (q[conv_rows].reshape(4, -1, c), pre[pooled_rows]))
-        dk = conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1, work=chunk_work), f.kernel))
+        dk = conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1), f.kernel))
         if pooled_rows.start:
             grads["main.kernel"] += dk
         else:

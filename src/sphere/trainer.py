@@ -213,7 +213,7 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
         total_steps = epochs * n_batches
         step = 0
         batch_rng = np.random.default_rng(config.seed + 1000 * (bi + 1))
-        work = {}  # block_backward's buffers, shared by every step of the stage
+        work = {}  # block_backward's conv output buffer, shared by every step of the stage
         for epoch in range(epochs):
             t0 = time.monotonic()
             sums = np.zeros(3)

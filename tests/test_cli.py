@@ -469,19 +469,22 @@ SMOKE = {
 }
 
 
+def artifacts(command):
+    """The files a finished run of `command` writes."""
+    logs = {"metrics.jsonl"} if command in ("train", "verify-lemma") else set()
+    return {"manifest.txt", "summary.json"} | logs
+
+
 @pytest.mark.parametrize("command", sorted(SMOKE))
 def test_command_smoke(tmp_path, command):
     """Exit 0, the artifacts (metrics.jsonl for the commands that log), the
     command's summary keys, byte-identical float64 reruns."""
     flags, keys = SMOKE[command]
-    artifacts = {"manifest.txt", "summary.json"}
-    if command in ("train", "verify-lemma"):
-        artifacts.add("metrics.jsonl")
     summaries = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["--out", str(out), "--seed", "1", *TINY, command, *flags]) == 0
-        assert set(os.listdir(out)) == artifacts
+        assert set(os.listdir(out)) == artifacts(command)
         summaries.append((out / "summary.json").read_bytes())
     summary = json.loads(summaries[0])
     assert summary["schema"] == 1
@@ -544,3 +547,114 @@ class TestGradcheckCommand:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["pass"] is True
         assert summary["worst"] <= 1e-4
+
+
+# a value away from TINY's for every key but data.dir: NON_DEFAULT's for the
+# train keys, and the partner a value needs
+AWAY = {**{f"train.{k}": v for k, v in TestConfigParser.NON_DEFAULT.items()},
+        "data.dataset": "texture", "data.n_per_class": "3", "data.n_test_per_class": "2",
+        "data.noise": "1.0", "data.seed": "101", "probe.epochs": "5"}
+PARTNERS = {"train.use_sphere": ["train.use_oja=true"]}  # one matching loss stays on
+
+
+def train_outputs(out, *flags):
+    """(summary, metrics records without wall_ms) of a TINY `train --probe`."""
+    assert main(["--out", str(out), *TINY, *flags, "train", "--probe"]) == 0
+    records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    for record in records:
+        del record["wall_ms"]
+    return json.loads((out / "summary.json").read_text()), records
+
+
+@pytest.fixture(scope="module")
+def tiny_train_outputs(tmp_path_factory):
+    return train_outputs(tmp_path_factory.mktemp("tiny") / "r")
+
+
+def test_away_values_cover_every_key():
+    assert set(AWAY) == set(cli.CONFIG_SCHEMA) - {"data.dir"}
+
+
+@pytest.mark.parametrize("key", sorted(AWAY))
+def test_every_key_changes_the_run(tmp_path, tiny_train_outputs, key):
+    items = [f"{key}={AWAY[key]}", *PARTNERS.get(key, [])]
+    flags = [flag for item in items for flag in ("--set", item)]
+    assert train_outputs(tmp_path / "r", *flags) != tiny_train_outputs
+
+
+# each key's (TINY value or default, a value at its bound, one step past it)
+EDGES = {
+    "train.channels": ("4,8", "1", "0,8"),
+    "train.activation": ("leaky_relu", "binary_step", "swish"),
+    "train.lam": ("0.8", "0", "-0.1"),
+    "train.lr": ("1e-3", "5e-324", "0"),
+    "train.weight_decay": ("0.05", "0", "-0.01"),
+    "train.batch_size": ("8", "2", "1"),
+    "train.epochs": ("2", "1", "0"),
+    "train.seed": ("0", "0", "-1"),
+    "train.use_sphere": ("true", "false", "2"),
+    "train.use_oja": ("false", "true", "2"),
+    "train.use_orth": ("true", "false", "2"),
+    "train.use_phi": ("true", "false", "2"),
+    "train.phi_depth": ("1", "0", "-1"),
+    "train.d_proj": ("8", "1", "0"),
+    "train.dtype": ("float64", "float32", "float16"),
+    "data.dataset": ("synthetic", "texture", "cifar10"),  # cifar10 with no data.dir
+    "data.n_per_class": ("2", "1", "0"),
+    "data.n_test_per_class": ("1", "1", "0"),
+    "data.noise": ("2.2", "0", "-0.1"),
+    "data.seed": ("100", "0", "-1"),
+    "probe.epochs": ("2", "1", "0"),
+}
+# each subcommand's flags, drawn the same way
+COMMAND_FLAGS = {
+    "verify-lemma": {"--B": ("12", "3", "2"), "--N": ("8", "3", "2"), "--M": ("2", "1", "0"),
+                     "--steps": ("200", "1", "0")},
+    "gradcheck": {}, "train": {"--probe": (True, False, False)},
+    "knn": {"--k": ("1", "10", "0")}, "ablate": {}, "transfer": {},
+    "linearity": {"--epochs": ("1", "1", "0")}, "oja-demo": {},
+}
+PROPERTY_RUNS = 30
+
+
+def draw_argv(rng):
+    """(subcommand, argv): `--set` for every key of EDGES, then a subcommand
+    and its flags.  Each value is TINY's (p 0.6), at its bound (0.37) or past
+    it (0.03), so about half the runs are valid."""
+    def pick(values):
+        return values[rng.choice(3, p=[0.6, 0.37, 0.03])]
+
+    argv = [flag for key, values in EDGES.items() for flag in ("--set", f"{key}={pick(values)}")]
+    command = rng.choice(sorted(COMMAND_FLAGS))
+    argv.append(command)
+    for flag, values in COMMAND_FLAGS[command].items():
+        value = pick(values)
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, value]
+    return command, argv
+
+
+def test_seeded_cli_runs_end_cleanly(tmp_path, capsys, monkeypatch):
+    """Each drawn run exits 0 or 1 with every artifact its command writes and
+    an empty stderr, or 2 with one JSON line and no --out directory."""
+    monkeypatch.delenv("SPHERE_DATA_DIR", raising=False)
+    rng = np.random.default_rng(25)
+    runs = [draw_argv(rng) for _ in range(PROPERTY_RUNS)]
+    runs.append(("verify-lemma", ["verify-lemma", "--B", "10", "--N", "32", "--M", "8"]))
+    codes = []
+    for i, (command, argv) in enumerate(runs):
+        out = tmp_path / f"r{i}"
+        codes.append(main(["--out", str(out), *argv]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1, 2), argv
+        if codes[-1] == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}, argv
+            assert not out.exists(), argv
+        else:
+            assert err == "", argv
+            assert set(os.listdir(out)) == artifacts(command), argv
+    assert codes[-1] == 0
+    assert {0, 2} <= set(codes[:-1])  # the draws reach both valid and refused runs
