@@ -15,10 +15,9 @@ metrics records or None); ``main`` then writes into ``--out``, manifest last:
                  so runs with identical manifests are byte-identical (64-bit)
   manifest.txt   resolved config, code version, seed (identity of the run)
 
-A refused run (a bad command line or ``--out``, an unreadable config file,
-an out-of-range value, an impossible allocation, cifar10 without its layout
-directory, an artifact it cannot write) makes no directory and writes no
-artifact: it prints a one-line JSON error and exits 2.
+A run that ends in a SphereError (bad input, a diverged run, an artifact it
+cannot write) or a MemoryError makes no directory and writes no artifact:
+it prints a one-line JSON error and exits 2.
 """
 
 import argparse
@@ -35,17 +34,16 @@ import numpy as np
 
 from . import data as datamod
 from . import network as net
-from .linalg import NumericsError, svd
+from .linalg import SphereError, svd
 from .losses import sphere_grad_linear, sphere_loss
 from .oracle import principal_projection
 from .plasticity import oja_step
-from .trainer import (PROBE_EPOCHS, FrozenBlocksMutatedError, OptimizerError, TrainConfig,
-                      TrainingDivergedError, blocks_checksum, features, knn_eval, probe_blocks,
-                      run_ablation, run_linearity_study, run_transfer, train_greedy,
+from .trainer import (PROBE_EPOCHS, TrainConfig, blocks_checksum, features, knn_eval,
+                      probe_blocks, run_ablation, run_linearity_study, run_transfer, train_greedy,
                       train_linear_block)
 
 
-class ConfigError(ValueError):
+class ConfigError(SphereError, ValueError):
     """Unparseable, unknown or out-of-range configuration input."""
 
 
@@ -159,7 +157,7 @@ def _git_describe():
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or one that hangs
         pass
     return "unknown"
 
@@ -247,6 +245,9 @@ def cmd_verify_lemma(args, cfg):
         raise ConfigError(f"--B must be > --M, got B={args.B}, M={args.M}")
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.B * max(args.B, args.N) * 8 > np.iinfo(np.intp).max:  # X and its B x B Grams
+        raise ConfigError(f"--B and --N: a float64 array of --B x max(--B, --N) entries is "
+                          f"larger than numpy can make, got B={args.B}, N={args.N}")
     spec = datamod.SyntheticSpec(b=args.B, n=args.N,
                                  spectrum=datamod.harmonic_spectrum(args.N), seed=args.seed)
     x = datamod.synth_gaussian(spec)
@@ -462,10 +463,8 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"--out {args.out!r}: cannot write the run there: {exc}") from exc
         return code
-    except (ConfigError, datamod.FormatError, NumericsError, TrainingDivergedError,
-            OptimizerError, FrozenBlocksMutatedError, MemoryError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
+    except (SphereError, MemoryError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericsError
+from .linalg import NumericsError, SphereError
 
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes, CHW order
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
@@ -20,7 +20,7 @@ CIFAR_TEST_FILES = ["test_batch.bin"]
 N_CLASSES, SIZE = 10, 32
 
 
-class FormatError(ValueError):
+class FormatError(SphereError, ValueError):
     """Dataset file does not match the expected binary layout."""
 
 

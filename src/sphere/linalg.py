@@ -13,7 +13,11 @@ import numpy as np
 DEFAULT_EPS = 1e-8
 
 
-class NumericsError(ValueError):
+class SphereError(Exception):
+    """The root of every error the package raises on purpose."""
+
+
+class NumericsError(SphereError, ValueError):
     """Raised on invalid numeric input (non-finite entries, bad shapes)."""
 
 

@@ -33,7 +33,11 @@ kernel-gradient GEMM.  All else is allocated where it is used.  Over a
 train_greedy run at the benchmark's ablate-wide and desk-greedy configs
 (1 BLAS thread), keeping q took 3554 and 8700 minor page faults, a fresh
 q per step 4066 and 9198, and keeping each chunk's padded input and rows
-as well 3986 and 8437.  Results do not depend on `work`.
+as well 3986 and 8437.  Results do not depend on `work`.  It stays because
+a fresh q per step cost more in `perfbench/run.py --seed 1 --seconds 20
+--trace 0`, in alternating pairs: desk-greedy's peak_rss_mb went 97.1 ->
+98.4 MB (higher in 8 of 8 pairs), ablate-wide's median train_steps_per_s
+57.4 -> 53.0 (slower in 5 of 6).
 
 CHUNK = 8 holds a chunk's float32 rows to 0.9-3.5 MB at the desk widths
 (the whole batch's reach 57 MB), under numpy's 4 MB huge-page threshold;
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .linalg import NumericsError
+from .linalg import NumericsError, SphereError
 from .losses import input_gram, structural_grads
 
 CHUNK = 8  # images per conv pass; only the kernel gradient's rounding depends on it
@@ -54,7 +58,7 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
 LEAKY_SLOPE = 0.01
 
 
-class MemoryConstraintError(RuntimeError):
+class MemoryConstraintError(SphereError, RuntimeError):
     """Kept only as a name perfbench imports; the library never raises it."""
 
 

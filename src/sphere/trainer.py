@@ -12,20 +12,20 @@ import numpy as np
 
 from . import data as datamod
 from . import network as net
-from .linalg import NumericsError, as_matrix
+from .linalg import NumericsError, SphereError, as_matrix
 from .losses import input_gram, structural_grads
 from .oracle import cka, svd_alignment
 
 
-class OptimizerError(RuntimeError):
+class OptimizerError(SphereError, RuntimeError):
     """Non-finite gradients reached the optimizer."""
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(SphereError, RuntimeError):
     """Loss or parameters became non-finite during training."""
 
 
-class FrozenBlocksMutatedError(RuntimeError):
+class FrozenBlocksMutatedError(SphereError, RuntimeError):
     """Probe training changed the parameters of the frozen blocks."""
 
 
@@ -129,6 +129,14 @@ class TrainConfig:
             raise NumericsError(f"d_proj must be >= 1, got {self.d_proj}")
         if self.phi_depth < 0:
             raise NumericsError(f"phi_depth must be >= 0, got {self.phi_depth}")
+        # an upper bound on a block's largest parameter array (its conv kernel, its
+        # head's first 1x1 conv or fc weight): refuse a size numpy cannot shape at
+        # all, and leave one that only outgrows memory to end in MemoryError
+        largest = max(c * max(9 * c_in, self.use_phi * max(c, self.d_proj))
+                      for c_in, c in zip((3, *self.channels), self.channels))
+        if largest * np.dtype(self.dtype).itemsize > np.iinfo(np.intp).max:
+            raise NumericsError(f"channels and d_proj: a parameter array of up to {largest} "
+                                f"{self.dtype} entries, more than numpy can make")
 
     @property
     def np_dtype(self):

@@ -1,7 +1,7 @@
 """Acceptance suite: the headline quantitative properties, one test per
 criterion, each printing a single PASS/FAIL line.
 
-Criterion 6 retrains blocks repeatedly and takes about 108 s on a 2-core
+Criterion 6 retrains blocks repeatedly and takes about 90 s on a 2-core
 machine with OpenBLAS; everything else finishes in about 30 s total.  When
 SPHERE_DATA_DIR points at a real CIFAR-10 binary layout, criteria 6 and 8
 use it; otherwise they run on the synthetic generators (same formats,

@@ -1,9 +1,12 @@
 """CLI tests: config parsing, manifest/summary artifacts, error paths, and
 the cheap subcommands end to end."""
 
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphere
 from sphere import cli, trainer
 from sphere import data as datamod
 from sphere import network as net
 from sphere.cli import ConfigError, load_config, main, parse_config_text, train_config_from
+from sphere.linalg import SphereError
 from sphere.plasticity import DivergenceError
 from sphere.trainer import TrainConfig
 
@@ -29,6 +34,35 @@ TINY = ["--set", "train.dtype=float64", "--set", "train.channels=4,8",
 # tiny data at a learning rate whose first step overflows block 0's weights
 OVERFLOW = ["--set", "data.n_per_class=2", "--set", "data.n_test_per_class=1",
             "--set", "train.d_proj=8", "--set", "train.lr=1e300"]
+
+
+def package_errors():
+    """Every exception class defined in a module of the sphere package."""
+    modules = [importlib.import_module(f"sphere.{m.name}")
+               for m in pkgutil.iter_modules(sphere.__path__)]
+    return sorted({cls for mod in modules for _, cls in inspect.getmembers(mod, inspect.isclass)
+                   if cls.__module__ == mod.__name__ and issubclass(cls, BaseException)},
+                  key=lambda cls: cls.__name__)
+
+
+# each package error's builtin base, as it was before SphereError became their root
+BUILTIN_BASES = {
+    "SphereError": Exception, "ConfigError": ValueError, "FormatError": ValueError,
+    "NumericsError": ValueError, "DegenerateInputError": ValueError,
+    "DivergenceError": ValueError, "OptimizerError": RuntimeError,
+    "TrainingDivergedError": RuntimeError, "FrozenBlocksMutatedError": RuntimeError,
+    "MemoryConstraintError": RuntimeError,
+}
+
+
+def test_every_package_error_is_a_sphere_error():
+    # cli.main ends a run in one JSON line on a SphereError; a class outside
+    # the root would end it in a traceback
+    errors = package_errors()
+    assert {cls.__name__ for cls in errors} == set(BUILTIN_BASES)
+    for cls in errors:
+        assert issubclass(cls, SphereError), cls
+        assert issubclass(cls, BUILTIN_BASES[cls.__name__]), cls
 
 
 def run_train(tmp_path, name, *flags):
@@ -212,6 +246,24 @@ class TestArtifacts:
         record = refusal(capsys, out)
         assert "MemoryError" in record["error"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--set", "train.d_proj=1000000000000000000", "train"], "d_proj"),
+        (["--set", "train.channels=(4,1000000000000000000)", "--set", "train.epochs=2",
+          "train"], "channels"),
+        (["verify-lemma", "--B", "100000000000000000000", "--steps", "1"], "--B"),
+        (["verify-lemma", "--N", "100000000000000000000", "--M", "3", "--steps", "1"], "--N"),
+    ], ids=["d_proj", "channels", "verify-lemma --B", "verify-lemma --N"])
+    def test_size_numpy_cannot_shape_refused(self, tmp_path, capsys, argv, named):
+        # past numpy's largest array, not just past memory: numpy raises a bare
+        # ValueError there, so the run must refuse the size itself
+        out = tmp_path / "r"
+        assert main(["--out", str(out), "--set", "data.n_per_class=1",
+                     "--set", "data.n_test_per_class=1", *argv]) == 2
+        record = refusal(capsys, out)
+        assert record["error"] in ("ConfigError", "NumericsError")
+        assert named in record["message"]
+        assert not out.exists()
+
     def test_bad_train_value_exit_code(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "r"), *TINY, "--set", "train.dtype=float16",
                      "train"])
@@ -303,7 +355,7 @@ class TestArtifacts:
         assert argv[1] in record["message"]
         assert calls == []
 
-    @pytest.mark.parametrize("error", [trainer.TrainingDivergedError, trainer.OptimizerError])
+    @pytest.mark.parametrize("error", package_errors())
     def test_training_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def diverge(config, images, **kwargs):
             raise error("non-finite")
@@ -391,6 +443,13 @@ class TestArtifacts:
         assert main(["--out", "run", "oja-demo"]) == 0
         manifest = (tmp_path / "run" / "manifest.txt").read_text()
         assert f"version = {described.stdout.strip()}\n" in manifest
+
+    def test_hung_git_leaves_version_unknown(self, tmp_path, monkeypatch):
+        def hung(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        monkeypatch.setattr(cli.subprocess, "run", hung)
+        assert main(["--out", str(tmp_path / "run"), "oja-demo"]) == 0
+        assert "version = unknown\n" in (tmp_path / "run" / "manifest.txt").read_text()
 
     def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
         def failing_replace(src, dst):
