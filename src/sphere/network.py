@@ -25,19 +25,13 @@ aux head's input rows with no transpose copy.  The step's batch Grams ignore
 column order, so they read rows in memory order: K_X the input's own (B, D)
 row view, and Z without a head the pooled rows viewed as (B, h*w*C).
 
-Workspace: block_backward takes an optional `work` dict, one per training
-stage, that keeps one array from step to step: the batch's conv output q,
-replaced when its shape or dtype changes.  The backward pass writes the
-max-pool gradient over q and rebuilds each chunk's rows for its
-kernel-gradient GEMM.  All else is allocated where it is used.  Over a
-train_greedy run at the benchmark's ablate-wide and desk-greedy configs
-(1 BLAS thread), keeping q took 3554 and 8700 minor page faults, a fresh
-q per step 4066 and 9198, and keeping each chunk's padded input and rows
-as well 3986 and 8437.  Results do not depend on `work`.  It stays because
-a fresh q per step cost more in `perfbench/run.py --seed 1 --seconds 20
---trace 0`, in alternating pairs: desk-greedy's peak_rss_mb went 97.1 ->
-98.4 MB (higher in 8 of 8 pairs), ablate-wide's median train_steps_per_s
-57.4 -> 53.0 (slower in 5 of 6).
+Max-pool masks: in training, each chunk's max-pool marks every window's
+first maximum in a bool (4, n, O) slice of one batch array, and the chunk's
+float conv output is dropped; the backward pass routes the pooled gradient
+through the masks with one multiply.  A mask takes one byte per conv
+output, a quarter of a float32 output and an eighth of a float64 one (6.3
+against 25.2 MB in a desk block-0 step).  Inference has no backward pass,
+so it marks nothing.
 
 CHUNK = 8 holds a chunk's float32 rows to 0.9-3.5 MB at the desk widths
 (the whole batch's reach 57 MB), under numpy's 4 MB huge-page threshold;
@@ -124,14 +118,13 @@ def im2col(x, kh, kw, stride, pad):
     return win.copy().reshape(4, -1, kh * kw * c)
 
 
-def conv_forward(x, kernel, bias, *, out=None):
+def conv_forward(x, kernel, bias):
     """Stride-1 cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw),
     zero-padded by 1.
 
     Returns (q, cache): q is the (4, n, O) pool-major output rows (see
-    im2col), written into the (4n, O) array `out` when given, and cache =
-    (None, cols, kernel) feeds conv_backward (perfbench's tracer reads the
-    kernel at index 2).
+    im2col), and cache = (None, cols, kernel) feeds conv_backward
+    (perfbench's tracer reads the kernel at index 2).
     """
     c = x.shape[1]
     o, ck, kh, kw = kernel.shape
@@ -139,7 +132,7 @@ def conv_forward(x, kernel, bias, *, out=None):
         raise NumericsError(f"channel mismatch: input {c}, kernel {ck}")
     cols = im2col(x, kh, kw, 1, 1)
     wt = kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
-    q = np.matmul(cols.reshape(-1, kh * kw * c), wt, out=out).reshape(4, -1, o)  # one GEMM
+    q = (cols.reshape(-1, kh * kw * c) @ wt).reshape(4, -1, o)  # one GEMM
     q += bias
     return q, (None, cols, kernel)
 
@@ -163,32 +156,29 @@ def conv_backward(dq, cache):
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2x2_forward(q, out=None):
+def maxpool2x2_forward(q, out=None, wins=None):
     """2x2 max-pool of pool-major rows q (4, n, C): the elementwise max of
-    the four quarters, (n, C), written into `out` when given.  The cache is
-    (q, out)."""
+    the four quarters, (n, C), written into `out` when given.  With a bool
+    (4, n, C) array `wins`, also marks each window's first maximum in
+    _WINDOW order there, one True per window and channel.  Returns (out,
+    wins)."""
     out = np.maximum(q[0], q[1], out=out)
     np.maximum(out, q[2], out=out)
     np.maximum(out, q[3], out=out)
-    return out, (q, out)
+    if wins is not None:
+        unrouted = np.ones(out.shape, dtype=bool)  # windows with no winner yet
+        for k in range(3):
+            np.equal(q[k], out, out=wins[k])
+            wins[k] &= unrouted
+            unrouted ^= wins[k]
+        wins[3] = unrouted
+    return out, wins
 
 
-def maxpool2x2_backward(grad_out, cache):
-    """Route each window's gradient (n, C) to its first maximum in _WINDOW
-    order; returns the (4, n, C) gradient of q.
-
-    Consumes its cache: each quarter of q is overwritten with its routed
-    gradient once it has been compared with the pooled max, and q itself
-    is returned."""
-    q, out = cache
-    unrouted = np.ones_like(out, dtype=bool)   # windows with no winner yet
-    for k in range(3):
-        win = q[k] == out
-        win &= unrouted
-        np.multiply(grad_out, win, out=q[k])
-        unrouted ^= win
-    np.multiply(grad_out, unrouted, out=q[3])
-    return q
+def maxpool2x2_backward(grad_out, wins):
+    """The (4, n, C) gradient of q for the gradient grad_out (n, C) of its
+    pooled max: each window's gradient goes to the row its mask marks."""
+    return grad_out * wins
 
 
 def avgpool2x2(x):
@@ -275,31 +265,26 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
 
 
 def _chunks(x, n):
-    """(images, pooled rows, conv rows) of each CHUNK images of x in turn,
-    n pooled rows per image."""
+    """(images, pooled rows) of each CHUNK images of x in turn, n pooled
+    rows per image."""
     for i in range(0, len(x), CHUNK):
         xc = x[i:i + CHUNK]
-        j = i + len(xc)
-        yield xc, slice(n * i, n * j), slice(4 * n * i, 4 * n * j)
+        yield xc, slice(n * i, n * (i + len(xc)))
 
 
-def _main_forward(f: MainBlock, x, train: bool = True, *, work=None):
+def _main_forward(f: MainBlock, x, train: bool = True):
     """Main-path output of block f on x and, when train is set, the cache
-    block_backward reads: (q, pre), the batch's chunk-major conv rows and
-    its pooled map, the pre-activation.  With train False the cache is
-    None."""
+    block_backward reads: (wins, pre), the batch's (4, B*hw, O) max-pool
+    masks and its pooled map, the pre-activation.  With train False the
+    cache is None."""
     b, _, h, w = x.shape
     o = f.kernel.shape[0]
     hw = (h // 2) * (w // 2)  # pooled rows per image
-    work = {} if work is None else work
-    dtype = np.result_type(x, f.kernel)
-    pre = np.empty((b * hw, o), dtype)
-    q = work.get("q")
-    if train and (q is None or q.shape != (4 * hw * b, o) or q.dtype != dtype):
-        q = work["q"] = np.empty((4 * hw * b, o), dtype)
-    for xc, rows, conv_rows in _chunks(x, hw):
-        out = q[conv_rows] if train else None
-        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias, out=out)[0], out=pre[rows])
+    pre = np.empty((b * hw, o), np.result_type(x, f.kernel))
+    wins = np.empty((4, b * hw, o), dtype=bool) if train else None
+    for xc, rows in _chunks(x, hw):
+        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias)[0], out=pre[rows],
+                           wins=None if wins is None else wins[:, rows])
     p = activation(f.activation, pre).reshape(b, h // 2, w // 2, o).transpose(0, 3, 1, 2)
     if f.use_skip:
         # detached: no gradient flows back through skip.  Missing skip
@@ -307,7 +292,7 @@ def _main_forward(f: MainBlock, x, train: bool = True, *, work=None):
         skip = avgpool2x2(x)
         n = min(skip.shape[1], p.shape[1])
         p[:, :n] += skip[:, :n]
-    return p, (q, pre) if train else None
+    return p, (wins, pre) if train else None
 
 
 def _aux_forward(phi: AuxBlock, rows, hw: int):
@@ -343,21 +328,19 @@ def _aux_backward(phi: AuxBlock, cache, dz, hw: int):
 
 
 def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
-                   use_oja: bool = False, *, work=None):
+                   use_oja: bool = False):
     """Compute the block-local loss on (Z, block input) and reverse-mode
     gradients for every parameter of f and phi.
 
     Returns (grads, bundle) where grads maps "main.<name>" / "aux.<name>"
     to arrays shaped like the parameters.  No input gradient is produced.
-    `work` is the optional workspace (module docstring), shared by the
-    steps of a stage.
     """
     if x.shape[0] < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
     # K_X from x's rows in memory order: free for a C-contiguous or channels-last x
     nhwc = x.transpose(0, 2, 3, 1)
     kx = input_gram((nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1))
-    yp, (q, pre) = _main_forward(f, x, work=work)
+    yp, (wins, pre) = _main_forward(f, x)
     b, c, h, w = yp.shape
     rows = yp.transpose(0, 2, 3, 1).reshape(-1, c)  # the pooled rows: a free view
     if phi is None:
@@ -374,18 +357,17 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
 
     # skip path (if any) is detached: g, the gradient of the pooled rows,
     # passes to the main path only.  Each window routes its gradient to one
-    # row of dq (written over the conv output), so the bias gradient is the
-    # sum of the n routed gradients: per image, then over the batch, which
-    # at the block shapes is as fast as one pass over the n rows and 3-11x
-    # more accurate in float32.  The kernel gradient is the sum of each
-    # chunk's GEMM on its rebuilt im2col rows.
-    g *= activation_grad(f.activation, pre)  # at the pooled map; g is fresh
+    # row of dq, the one its mask marks, so the bias gradient is the sum of
+    # the n routed gradients: per image, then over the batch, which at the
+    # block shapes is as fast as one pass over the n rows and 3-11x more
+    # accurate in float32.  The kernel gradient is the sum of each chunk's
+    # GEMM on its rebuilt im2col rows.
     kh, kw = f.kernel.shape[2:]
-    for xc, pooled_rows, conv_rows in _chunks(x, h * w):
-        dq = maxpool2x2_backward(g[pooled_rows],
-                                 (q[conv_rows].reshape(4, -1, c), pre[pooled_rows]))
+    for xc, rows in _chunks(x, h * w):
+        g[rows] *= activation_grad(f.activation, pre[rows])  # at the pooled map; g is fresh
+        dq = maxpool2x2_backward(g[rows], wins[:, rows])
         dk = conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1), f.kernel))
-        if pooled_rows.start:
+        if rows.start:
             grads["main.kernel"] += dk
         else:
             grads["main.kernel"] = dk

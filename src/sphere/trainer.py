@@ -221,7 +221,6 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
         total_steps = epochs * n_batches
         step = 0
         batch_rng = np.random.default_rng(config.seed + 1000 * (bi + 1))
-        work = {}  # block_backward's conv output buffer, shared by every step of the stage
         for epoch in range(epochs):
             t0 = time.monotonic()
             sums = np.zeros(3)
@@ -233,7 +232,7 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
                     with np.errstate(over="raise", invalid="raise", divide="raise"):
                         grads, bundle = net.block_backward(
                             f, phi, feats[idx], lam,
-                            use_sphere=config.use_sphere, use_oja=config.use_oja, work=work)
+                            use_sphere=config.use_sphere, use_oja=config.use_oja)
                         if not math.isfinite(bundle.total):
                             raise TrainingDivergedError(f"non-finite loss at block {bi}, step {step}")
                         opt.step(grads, lr=cosine_lr(step, total_steps, config.lr))
@@ -255,7 +254,6 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
             if not math.isfinite(float(np.vdot(v, v))):
                 raise TrainingDivergedError(f"parameter {name!r} of block {bi} has a non-finite "
                                             "squared norm after the stage's last step")
-        del work  # freed before the next stage's re-forward
     if last_input is not None:
         last_input.append(feats)
     return blocks, records

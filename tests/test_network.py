@@ -122,6 +122,11 @@ def pooled_rows(yp):
     return yp.transpose(0, 2, 3, 1).reshape(-1, yp.shape[1])
 
 
+def pool(q):
+    """2x2 max-pool of pool-major rows q with its masks: (pooled, wins)."""
+    return net.maxpool2x2_forward(q, wins=np.empty(q.shape, dtype=bool))
+
+
 def im2col_conv(x, kernel, bias, stride, pad):
     """The conv GEMM on im2col's rows at any stride and padding: (4, n, O)."""
     o, c, kh, kw = kernel.shape
@@ -219,9 +224,9 @@ class TestPooling:
 
     def test_maxpool_backward_routes_to_argmax(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out, cache = net.maxpool2x2_forward(to_pool_major(x))
+        out, wins = pool(to_pool_major(x))
         g = np.ones_like(out)
-        dq = net.maxpool2x2_backward(g, cache)
+        dq = net.maxpool2x2_backward(g, wins)
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
         assert np.allclose(to_nchw(dq, 1, 4, 4)[0, 0], expected)
@@ -233,8 +238,8 @@ class TestPooling:
     def test_maxpool_tie_routes_to_first_winner(self, window, winner):
         # ties go to the first maximum in (0,0), (0,1), (1,0), (1,1) order
         x = np.array(window).reshape(1, 1, 2, 2)
-        out, cache = net.maxpool2x2_forward(to_pool_major(x))
-        dq = net.maxpool2x2_backward(np.full_like(out, 3.0), cache)
+        out, wins = pool(to_pool_major(x))
+        dq = net.maxpool2x2_backward(np.full_like(out, 3.0), wins)
         expected = np.zeros((1, 1, 2, 2))
         expected[(0, 0) + winner] = 3.0
         assert np.array_equal(to_nchw(dq, 1, 2, 2), expected)
@@ -245,21 +250,27 @@ class TestPooling:
         f = net.MainBlock(kernel=np.zeros((2, 3, 3, 3)), bias=np.ones(2),
                           activation="binary_step")
         x = np.random.default_rng(19).standard_normal((2, 3, 4, 6))
-        _, (q, pre) = net._main_forward(f, x)  # one chunk: q is pool-major
-        pool_cache = (q.reshape(4, -1, 2), pre)
+        _, (wins, pre) = net._main_forward(f, x)  # one chunk: wins is pool-major
         g = np.ones((2 * 2 * 3, 2))  # the pooled rows of yp (2, 2, 2, 3)
-        d_act = net.activation_grad(f.activation, pool_cache[1])  # at the pooled map
-        da = net.maxpool2x2_backward(g * d_act, pool_cache)
+        d_act = net.activation_grad(f.activation, pre)  # at the pooled map
+        da = net.maxpool2x2_backward(g * d_act, wins)
         expected = np.zeros((2, 2, 4, 6))
         expected[:, :, 0::2, 0::2] = 1.0
         assert np.array_equal(to_nchw(da, 2, 4, 6), expected)
 
-    def test_maxpool_backward_writes_into_q(self):
-        # the gradient of q is written over q: no second (4, n, C) array
-        q = to_pool_major(np.random.default_rng(8).standard_normal((2, 3, 4, 6)))
-        out, cache = net.maxpool2x2_forward(q)
-        dq = net.maxpool2x2_backward(np.ones_like(out), cache)
-        assert np.shares_memory(dq, q)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masks_one_hot_for_every_tie_pattern(self, dtype):
+        # window r's maxima sit at the positions of the bits of r + 1: all
+        # 15 tie patterns of a 2x2 window, each at four value scales.  Each
+        # (window, channel) gets one mask, at its first maximum in _WINDOW order
+        ties = np.array([[(r + 1) >> k & 1 for k in range(4)] for r in range(15)], dtype=bool)
+        top, low = [1.0, -1.75, 1e30, 1e-30], [0.5, -3.5, -1e30, 0.0]
+        q = np.where(ties.T[:, :, None], top, low).astype(dtype)  # (4, 15, 4)
+        out, wins = pool(q)
+        assert np.array_equal(out, q.max(axis=0))
+        assert np.array_equal(wins.sum(axis=0), np.ones((15, 4)))
+        first = np.argmax(ties, axis=1)
+        assert np.array_equal(np.argmax(wins, axis=0), np.repeat(first[:, None], 4, axis=1))
 
     def test_avgpool(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -337,7 +348,7 @@ def activate_then_pool(f, x, lam=0.8):
     order, without a head: (output, grads of block_backward(f, None, x))."""
     q, conv_cache = net.conv_forward(x, f.kernel, f.bias)
     a, d_act = net.activation(f.activation, q), derivative(f.activation, q)
-    p, pool_cache = net.maxpool2x2_forward(a)
+    p, wins = pool(a)
     b, _, h, w = x.shape
     yp = p.reshape(b, h // 2, w // 2, -1).transpose(0, 3, 1, 2).copy()  # pooled rows
     if f.use_skip:
@@ -346,7 +357,7 @@ def activate_then_pool(f, x, lam=0.8):
         yp[:, :n] += skip[:, :n]
     _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), input_gram(x.reshape(b, -1)), lam)
     g = dz.reshape(p.shape)
-    dq = net.maxpool2x2_backward(g, pool_cache) * d_act
+    dq = net.maxpool2x2_backward(g, wins) * d_act
     # each window's one routed gradient, summed per image, then over images
     db = dq.sum(axis=0).reshape(b, -1, p.shape[1]).sum(axis=1).sum(axis=0)
     return yp, {"main.kernel": net.conv_backward(dq, conv_cache), "main.bias": db}
@@ -389,10 +400,9 @@ class TestPoolOrder:
         f = net.MainBlock(kernel=k, bias=np.zeros(1), activation="binary_step", use_skip=True)
         x = np.random.default_rng(23).uniform(0.05, 0.95, size=(4, 1, 4, 4))
         x[0, 0, :2, :2] = [[0.3, 0.5], [0.1, 0.2]]
-        _, (q, pre) = net._main_forward(f, x)  # one chunk: q is pool-major
-        pool_cache = (q.reshape(4, -1, 1), pre)
-        d_act = net.activation_grad(f.activation, pool_cache[1])  # at the pooled map
-        dq = net.maxpool2x2_backward(np.ones((4 * 2 * 2, 1)), pool_cache)
+        _, (wins, pre) = net._main_forward(f, x)  # one chunk: wins is pool-major
+        d_act = net.activation_grad(f.activation, pre)  # at the pooled map
+        dq = net.maxpool2x2_backward(np.ones((4 * 2 * 2, 1)), wins)
         assert np.array_equal(to_nchw(dq, 4, 4, 4)[0, 0, :2, :2], [[0.0, 1.0], [0.0, 0.0]])
         assert np.all(d_act == 1.0)  # straight through: every pooled value is in (0, 1)
 
@@ -472,6 +482,55 @@ class TestBlockReference:
                 assert err <= 1e-12, f"{name}: relative {err:.3g}"
 
 
+def q_routed_block_backward(f, phi, x, lam):
+    """block_backward of a C-contiguous x as it was when the step kept the
+    batch's float conv output q: each window's gradient goes to the first
+    quarter of q, in _WINDOW order, that equals the pooled max."""
+    b, _, h, w = x.shape
+    hw = (h // 2) * (w // 2)
+    qs = [net.conv_forward(x[i:i + net.CHUNK], f.kernel, f.bias)[0]
+          for i in range(0, b, net.CHUNK)]
+    pre = np.concatenate([net.maxpool2x2_forward(q)[0] for q in qs])
+    rows = pooled_rows(net._main_forward(f, x, train=False)[0])
+    kx = input_gram(x.reshape(b, -1))
+    if phi is None:
+        bundle, dz = structural_grads(rows.reshape(b, -1), kx, lam)
+        grads, g = {}, dz.reshape(rows.shape)
+    else:
+        z, aux_cache = net._aux_forward(phi, rows, hw)
+        bundle, dz = structural_grads(z, kx, lam)
+        aux_grads, g = net._aux_backward(phi, aux_cache, dz, hw)
+        grads = {f"aux.{k}": v for k, v in aux_grads.items()}
+    g = g * net.activation_grad(f.activation, pre)
+    dks, start = [], 0
+    for i, q in enumerate(qs):
+        out, gc = pre[start:start + q.shape[1]], g[start:start + q.shape[1]]
+        start += q.shape[1]
+        dq, unrouted = np.empty_like(q), np.ones(out.shape, dtype=bool)
+        for k in range(3):
+            win = (q[k] == out) & unrouted
+            dq[k] = gc * win
+            unrouted ^= win
+        dq[3] = gc * unrouted
+        cols = net.im2col(x[i * net.CHUNK:(i + 1) * net.CHUNK], 3, 3, 1, 1)
+        dks.append(net.conv_backward(dq, (None, cols, f.kernel)))
+    grads["main.kernel"] = sum(dks[1:], dks[0])
+    grads["main.bias"] = g.reshape(b, -1, g.shape[1]).sum(axis=1).sum(axis=0)
+    return grads, bundle
+
+
+def desk_block(block, batch):
+    """A float32 desk block (criterion 6's widths, head depth 1) and a batch
+    of its input: block 0 reads C-contiguous 3x32x32 images, blocks 1 and 2
+    the channels-last maps before them."""
+    c_in, c_out, side = ((3, 48, 32), (48, 96, 16), (96, 192, 8))[block]
+    rng = np.random.default_rng(28)
+    f = net.init_main_block(c_in, c_out, rng, dtype=np.float32)
+    phi = net.init_aux_block(c_out, 256, 1, rng, dtype=np.float32)
+    x = rng.standard_normal((batch, side, side, c_in), dtype=np.float32).transpose(0, 3, 1, 2)
+    return f, phi, np.ascontiguousarray(x) if block == 0 else x
+
+
 FD_ROWS = [  # activation, head depth, skip, image side, batch
     ("leaky_relu", 1, False, 8, 5),
     ("leaky_relu", 2, True, 8, 5),
@@ -517,46 +576,51 @@ class TestBlockBackward:
     @pytest.mark.parametrize("use_skip", [False, True])
     @pytest.mark.parametrize("depth", [None, 1])
     @pytest.mark.parametrize("activation", ["leaky_relu", "binary_step"])
-    def test_workspace_matches_fresh_buffers(self, activation, depth, use_skip, dtype):
-        # one work dict over two batches of one size, then a smaller batch,
-        # and the same with a batch of two full chunks and a ragged one: each
-        # call equals a call without it, and work keeps only the conv output,
-        # reused exactly when the batch size repeats
+    def test_routes_as_whole_batch_q(self, activation, depth, use_skip, dtype):
+        # the masks route every gradient as comparing the kept conv output
+        # with the pooled max did, bit for bit.  Ties: output channel 1 is
+        # the bias everywhere and image 0 is blank; the second batch runs
+        # as two full chunks and a ragged one
         rng = np.random.default_rng(20)
         f = net.init_main_block(3, 8, rng, activation=activation, use_skip=use_skip, dtype=dtype)
+        f.kernel[1] = 0.0
         phi = None if depth is None else net.init_aux_block(
             8, 12, depth, rng, activation=activation, dtype=dtype)
-        work, kept, prev = {}, None, None
-        for b in (5, 5, 3, 2 * net.CHUNK + 3, 2 * net.CHUNK + 3, 3):
+        for b in (5, 2 * net.CHUNK + 3):
             x = rng.standard_normal((b, 3, 8, 8)).astype(dtype)
-            grads, bundle = net.block_backward(f, phi, x, lam=0.8, work=work)
-            want_grads, want_bundle = net.block_backward(f, phi, x, lam=0.8)
+            x[0] = 0.0
+            grads, bundle = net.block_backward(f, phi, x, lam=0.8)
+            want_grads, want_bundle = q_routed_block_backward(f, phi, x, lam=0.8)
             assert bundle == want_bundle
             assert grads.keys() == want_grads.keys()
             for name, g in grads.items():
-                assert g.dtype == want_grads[name].dtype
+                assert g.dtype == dtype
                 assert np.array_equal(g, want_grads[name]), name
-            assert work.keys() == {"q"}
-            assert (work["q"] is kept) == (b == prev)
-            kept, prev = work["q"], b
 
-    @pytest.mark.parametrize("block, bound_mb", [(0, 60), (1, 50), (2, 25)])
+    @pytest.mark.parametrize("block, bound_mb", [(0, 40), (1, 25), (2, 15)])
     def test_desk_step_traced_peak(self, block, bound_mb):
-        # one float32 step at a desk block: 128 images, head depth 1, with a
-        # stage workspace.  Block 0 reads the C-contiguous 3x32x32 images,
-        # blocks 1 and 2 the channels-last maps before them.  The batch's
-        # im2col rows alone would take 14.2, 56.6 and 28.3 MB; one chunk's
-        # take 0.9-3.5 MB
-        c_in, c_out, side = ((3, 48, 32), (48, 96, 16), (96, 192, 8))[block]
-        rng = np.random.default_rng(28)
-        f = net.init_main_block(c_in, c_out, rng, dtype=np.float32)
-        phi = net.init_aux_block(c_out, 256, 1, rng, dtype=np.float32)
-        x = rng.standard_normal((128, side, side, c_in), dtype=np.float32).transpose(0, 3, 1, 2)
-        if block == 0:
-            x = np.ascontiguousarray(x)
+        # one float32 step at a desk block: 128 images, head depth 1.  The
+        # batch's im2col rows alone would take 14.2, 56.6 and 28.3 MB, one
+        # chunk's 0.9-3.5 MB; its float conv output 25.2, 12.6 and 6.3 MB,
+        # the max-pool masks a quarter of that
+        f, phi, x = desk_block(block, 128)
         tracemalloc.start()
         try:
-            net.block_backward(f, phi, x, lam=0.8, work={})
+            net.block_backward(f, phi, x, lam=0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("block, bound_mb", [(0, 16), (1, 10), (2, 5)])
+    def test_desk_inference_traced_peak(self, block, bound_mb):
+        # a forward-only pass over the 130 training images of perfbench's
+        # desk-greedy unit reads 12.8/7.6/3.8 MB; max-pool masks would add
+        # 6.4/3.2/1.6 MB
+        f, _, x = desk_block(block, 130)
+        tracemalloc.start()
+        try:
+            net._main_forward(f, x, train=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -202,28 +202,6 @@ class TestTrainGreedy:
         parts = [features(blocks, x[i:j]) for i, j in zip(edges, edges[1:])]
         assert np.concatenate(parts).tobytes() == features(blocks, x).tobytes()
 
-    @pytest.mark.parametrize("use_phi", [True, False])
-    def test_stage_workspace_changes_nothing(self, monkeypatch, use_phi):
-        # each stage hands one work dict to all its block steps; the same
-        # run with the workspace dropped gives the same blocks and records
-        x, _ = tiny_dataset(n_per_class=10)
-        cfg = TrainConfig(seed=0, channels=(4, 8, 8), epochs=3, batch_size=16, d_proj=8,
-                          use_phi=use_phi)
-        blocks, records = train_greedy(cfg, x)
-        block_backward, works = net.block_backward, {}
-
-        def no_workspace(f, *args, work, **kwargs):
-            assert isinstance(work, dict)
-            works.setdefault(id(f), set()).add(id(work))
-            return block_backward(f, *args, **kwargs)
-
-        monkeypatch.setattr(net, "block_backward", no_workspace)
-        ref_blocks, ref_records = train_greedy(cfg, x)
-        assert [len(ids) for ids in works.values()] == [1, 1, 1]
-        assert trainer.blocks_checksum(blocks) == trainer.blocks_checksum(ref_blocks)
-        for rec, ref in zip(records, ref_records, strict=True):
-            assert {**rec, "wall_ms": 0} == {**ref, "wall_ms": 0}
-
     def test_unhalvable_image_size_refused_before_training(self, monkeypatch):
         # six 2x2 max-pools need sides divisible by 64; 32x32 images allow five
         calls = []
