@@ -207,14 +207,16 @@ def load_datasets(cfg: dict):
             make(ntest, seed=seed + 1, noise=cfg["data.noise"], split="test"))
 
 
-def check_data_fits(cfg: dict, dtype) -> None:
+def check_data_fits(cfg: dict, dtype, source: bool = False) -> None:
     """Refuse, before any image is made, a run whose image arrays alone
     outgrow physical memory: the uint8 and to_float arrays of both splits
-    and channel_stats' float64 copy of the train split."""
+    and channel_stats' float64 copy of the train split, and with `source`
+    the same three of transfer's source split, as large as the train one."""
     n_train, n_test = (cfg[k] * datamod.N_CLASSES for k in ("data.n_per_class",
                                                              "data.n_test_per_class"))
-    need = 3 * datamod.SIZE ** 2 * ((n_train + n_test) * (1 + np.dtype(dtype).itemsize)
-                                    + 8 * n_train)
+    n_fit = n_train * (1 + source)  # the images channel_stats reads
+    need = 3 * datamod.SIZE ** 2 * ((n_fit + n_test) * (1 + np.dtype(dtype).itemsize)
+                                    + 8 * n_fit)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(f"data.n_per_class and data.n_test_per_class: the image arrays need "
@@ -222,12 +224,13 @@ def check_data_fits(cfg: dict, dtype) -> None:
                           f"of physical memory")
 
 
-def config_and_data(cfg: dict, seed: int):
+def config_and_data(cfg: dict, seed: int, source: bool = False):
     """(TrainConfig, xtr, ytr, xte, yte): the run's training config and its
     datasets standardized by the train split's channel stats, in the
-    config's dtype."""
+    config's dtype.  `source` counts transfer's source split in the memory
+    check."""
     config = train_config_from(cfg, seed=seed)
-    check_data_fits(cfg, config.np_dtype)
+    check_data_fits(cfg, config.np_dtype, source)
     tr, te = load_datasets(cfg)
     mean, std = datamod.channel_stats(tr)
     return (config, datamod.to_float(tr, mean, std, config.np_dtype), tr.labels,
@@ -319,8 +322,8 @@ def cmd_train(args, cfg):
     payload = {"param_checksum": checksum, "final_total": records[-1]["total"],
                "n_train": len(ytr)}
     if args.probe:
-        tr_acc, te_acc = probe_blocks(config, blocks, xtr, ytr, xte, yte, cfg["probe.epochs"],
-                                      train_stage=stage[0])
+        tr_acc, te_acc = probe_blocks(config, blocks, stage[0], ytr, xte, yte,
+                                      cfg["probe.epochs"])
         payload.update(train_acc=tr_acc, test_acc=te_acc)
         print(f"probe train {tr_acc:.3f}  test {te_acc:.3f}")
     print(f"trained {len(blocks)} blocks in {time.time() - t0:.1f}s  checksum {checksum[:12]}")
@@ -347,7 +350,7 @@ def cmd_ablate(args, cfg):
 
 
 def cmd_transfer(args, cfg):
-    config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed)
+    config, xtr, ytr, xte, yte = config_and_data(cfg, args.seed, source=True)
     # source: texture statistics; target: the configured dataset
     src = datamod.make_texture_images(cfg["data.n_per_class"], seed=cfg["data.seed"] + 7)
     mean, std = datamod.channel_stats(src)

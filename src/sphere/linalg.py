@@ -1,5 +1,6 @@
-"""Dense linear algebra substrate: Gram products, Frobenius norms, thin SVD,
-row normalization.
+"""Dense linear algebra substrate: matrix validation, Frobenius norms, thin
+SVD.  The batch Gram and its row normalisation live in losses.input_gram;
+the row normalisation below is kept only as a name perfbench's tracer wraps.
 
 All functions operate on 2-D numpy arrays ("matrices", rows = samples) and
 check finiteness at the public boundary.  Verification paths should pass
@@ -59,13 +60,6 @@ def svd(a) -> SvdResult:
     signs = np.sign(v[idx, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0
     return SvdResult(u=u * signs, s=s, v=v * signs)
-
-
-def gram(a) -> np.ndarray:
-    """Gram matrix A @ A.T; exactly symmetric, as numpy forms one triangle
-    and mirrors it."""
-    m = as_matrix(a)
-    return m @ m.T
 
 
 def frob_norm_sq(a) -> float:

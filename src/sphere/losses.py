@@ -5,23 +5,23 @@ in the linear case Y = X @ W.
 loss bundle and dL/dZ that training and the linear analyses use, while
 ``sphere_loss`` and ``orth_loss`` evaluate single terms as references.
 Every term is evaluated through B x B batch Grams (or Z's singular
-values), never an M x M matrix.  Two evaluation paths exist on purpose:
+values), never an M x M matrix.  ``normalize`` selects one of two modes:
 
-* the training path (``normalize=True``, the default) row-normalizes its
-  inputs, which bounds loss magnitudes across datasets, with the norms read
-  off the Gram's diagonal and the Jacobian folded into B x B coefficients;
-* the linear-analysis path (``normalize=False``) uses the raw matrices so
-  it matches the closed-form SVD oracle exactly.
+* training (``normalize=True``, the default) row-normalizes the inputs,
+  which bounds loss magnitudes across datasets, with the norms read off
+  the Gram's diagonal and the Jacobian folded into B x B coefficients;
+* linear analysis (``normalize=False``) uses the raw matrices, so it
+  matches the closed-form SVD oracle exactly.
 
-``orth_loss`` is raw-only; ``sphere_loss`` keeps both paths only because
-perfbench passes it ``normalize=False`` by keyword.
+Every row normalisation is ``_normalize_gram``'s, and ``sphere_loss``
+reads both its Grams through ``input_gram``.  ``orth_loss`` is raw-only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, NumericsError, as_matrix, frob_norm_sq, gram, row_normalize
+from .linalg import DEFAULT_EPS, NumericsError, as_matrix, frob_norm_sq
 
 
 @dataclass
@@ -34,20 +34,14 @@ class LossBundle:
 
 
 def sphere_loss(z, x, normalize: bool = True) -> float:
-    """Structural-matching loss ||K_Z - K_X||_F^2 on the batch Grams.
-
-    With ``normalize=True`` both arguments are row-normalized first
-    (training path); with ``normalize=False`` the raw Grams are compared
-    (oracle / linear-analysis path).
-    """
+    """Structural-matching loss ||K_Z - K_X||_F^2 on the input_gram batch
+    Grams: row-normalized with ``normalize=True`` (training mode), raw with
+    ``normalize=False`` (oracle / linear-analysis mode)."""
     z = as_matrix(z)
     x = as_matrix(x)
     if z.shape[0] != x.shape[0]:
         raise NumericsError("batch-size mismatch between Z and X")
-    if normalize:
-        z = row_normalize(z)
-        x = row_normalize(x)
-    return frob_norm_sq(gram(z) - gram(x))
+    return frob_norm_sq(input_gram(z, normalize) - input_gram(x, normalize))
 
 
 def input_gram(x, normalize: bool = True) -> np.ndarray:

@@ -120,12 +120,7 @@ def im2col(x, kh, kw, stride, pad):
 
 def conv_forward(x, kernel, bias):
     """Stride-1 cross-correlation of x (B,C,H,W) with kernel (O,C,kh,kw),
-    zero-padded by 1.
-
-    Returns (q, cache): q is the (4, n, O) pool-major output rows (see
-    im2col), and cache = (None, cols, kernel) feeds conv_backward
-    (perfbench's tracer reads the kernel at index 2).
-    """
+    zero-padded by 1: the (4, n, O) pool-major output rows (see im2col)."""
     c = x.shape[1]
     o, ck, kh, kw = kernel.shape
     if ck != c:
@@ -134,12 +129,13 @@ def conv_forward(x, kernel, bias):
     wt = kernel.transpose(0, 2, 3, 1).reshape(o, -1).T
     q = (cols.reshape(-1, kh * kw * c) @ wt).reshape(4, -1, o)  # one GEMM
     q += bias
-    return q, (None, cols, kernel)
+    return q
 
 
 def conv_backward(dq, cache):
     """Kernel gradient (O,C,kh,kw) of a conv_forward call for the gradient
-    dq of its (4, n, O) rows: one GEMM.  The bias gradient is the sum of
+    dq of its (4, n, O) rows, with cache = (None, cols, kernel) holding that
+    call's im2col rows and kernel: one GEMM.  The bias gradient is the sum of
     dq's rows, which the caller takes.  No input gradient: a block's input
     is never trained through."""
     _, cols, kernel = cache
@@ -283,7 +279,7 @@ def _main_forward(f: MainBlock, x, train: bool = True):
     pre = np.empty((b * hw, o), np.result_type(x, f.kernel))
     wins = np.empty((4, b * hw, o), dtype=bool) if train else None
     for xc, rows in _chunks(x, hw):
-        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias)[0], out=pre[rows],
+        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias), out=pre[rows],
                            wins=None if wins is None else wins[:, rows])
     p = activation(f.activation, pre).reshape(b, h // 2, w // 2, o).transpose(0, 3, 1, 2)
     if f.use_skip:
@@ -366,6 +362,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     for xc, rows in _chunks(x, h * w):
         g[rows] *= activation_grad(f.activation, pre[rows])  # at the pooled map; g is fresh
         dq = maxpool2x2_backward(g[rows], wins[:, rows])
+        # perfbench's tracer finds the block by the kernel at cache[2]
         dk = conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1), f.kernel))
         if rows.start:
             grads["main.kernel"] += dk

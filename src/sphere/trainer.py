@@ -424,17 +424,15 @@ def combo_name(flags: dict) -> str:
                     if flags.get(k))
 
 
-def probe_blocks(config: TrainConfig, blocks, train_images, train_labels, test_images,
-                 test_labels, probe_epochs: int, *, train_stage=None):
+def probe_blocks(config: TrainConfig, blocks, train_stage, train_labels, test_images,
+                 test_labels, probe_epochs: int):
     """Linear probe on the frozen features of trained `blocks`; returns
-    (train_acc, test_acc).  A `train_stage` from train_greedy's `last_input`
-    stands in for blocks 0..L-2 on `train_images`.  Raises
-    FrozenBlocksMutatedError if any block's parameters changed meanwhile."""
+    (train_acc, test_acc).  `train_stage` is the last block's input on the
+    training images, such as train_greedy's `last_input`: only that block
+    runs over it.  Raises FrozenBlocksMutatedError if any block's parameters
+    changed meanwhile."""
     before = blocks_checksum(blocks)
-    if train_stage is None:
-        ftr = features(blocks, np.asarray(train_images, dtype=config.np_dtype))
-    else:
-        ftr = features(blocks[-1:], train_stage)
+    ftr = features(blocks[-1:], train_stage)
     fte = features(blocks, np.asarray(test_images, dtype=config.np_dtype))
     accs = train_probe(ftr, train_labels, fte, test_labels, epochs=probe_epochs,
                        seed=config.seed)
@@ -449,8 +447,8 @@ def evaluate_config(config: TrainConfig, train_images, train_labels, test_images
     training stage input handed over; returns {"train_acc", "test_acc"}."""
     stage = []
     blocks, _ = train_greedy(config, train_images, last_input=stage)
-    tr_acc, te_acc = probe_blocks(config, blocks, train_images, train_labels, test_images,
-                                  test_labels, probe_epochs, train_stage=stage[0])
+    tr_acc, te_acc = probe_blocks(config, blocks, stage[0], train_labels, test_images,
+                                  test_labels, probe_epochs)
     return {"train_acc": tr_acc, "test_acc": te_acc}
 
 
@@ -471,7 +469,8 @@ def run_transfer(source_images, target_train_images, target_train_labels,
     """Blocks trained on the source set, probe on the target; reports the
     gap against training the blocks directly on the target."""
     blocks, _ = train_greedy(config, source_images)
-    _, transfer_acc = probe_blocks(config, blocks, target_train_images, target_train_labels,
+    stage = _forward(blocks[:-1], np.asarray(target_train_images, dtype=config.np_dtype))
+    _, transfer_acc = probe_blocks(config, blocks, stage, target_train_labels,
                                    target_test_images, target_test_labels, probe_epochs)
     direct = evaluate_config(config, target_train_images, target_train_labels,
                              target_test_images, target_test_labels, probe_epochs)

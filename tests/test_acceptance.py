@@ -8,7 +8,6 @@ use it; otherwise they run on the synthetic generators (same formats,
 same code paths).
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -22,7 +21,7 @@ from sphere.cli import main as cli_main
 from sphere.data import (SyntheticSpec, channel_stats, harmonic_spectrum,
                          load_cifar10, make_synthetic_images,
                          serialize_cifar10, subset, synth_gaussian, to_float)
-from sphere.linalg import frob_norm_sq, svd
+from sphere.linalg import svd
 from sphere.losses import (input_gram, orth_loss, sphere_grad_linear, sphere_loss,
                            structural_grads)
 from sphere.oracle import principal_projection

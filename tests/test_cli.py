@@ -85,6 +85,7 @@ def no_synthetic_images(monkeypatch):
     def generate(*args, **kwargs):
         raise AssertionError("synthetic images made for a run that must not make them")
     monkeypatch.setattr(datamod, "make_synthetic_images", generate)
+    monkeypatch.setattr(datamod, "make_texture_images", generate)
 
 
 class TestConfigParser:
@@ -263,6 +264,25 @@ class TestArtifacts:
         assert record["error"] in ("ConfigError", "NumericsError")
         assert named in record["message"]
         assert not out.exists()
+
+    def test_transfer_source_split_counts_against_memory(self, tmp_path, capsys, monkeypatch):
+        # TINY's float64 image arrays: uint8 and float64 copies of its 20
+        # train and 10 test images plus channel_stats' float64 copy of the
+        # train split; transfer adds all three for its 20 source images
+        img = 3 * datamod.SIZE ** 2
+        two = img * (30 * 9 + 20 * 8)
+        three = two + img * 20 * 17
+        have = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (two + three) // 2}
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: have.get(name) or sysconf(name))
+        assert main(["--out", str(tmp_path / "train"), *TINY, "train"]) == 0
+        capsys.readouterr()
+        no_synthetic_images(monkeypatch)
+        out = tmp_path / "transfer"
+        assert main(["--out", str(out), *TINY, "transfer"]) == 2
+        record = refusal(capsys, out)
+        assert record["error"] == "ConfigError"
+        assert "physical memory" in record["message"]
 
     def test_bad_train_value_exit_code(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "r"), *TINY, "--set", "train.dtype=float16",

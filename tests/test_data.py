@@ -5,14 +5,11 @@ the loader's round-trip and histogram properties can be checked without any
 file downloads.
 """
 
-import io
-import os
-
 import numpy as np
 import pytest
 
 from sphere import data as datamod
-from sphere.data import (CIFAR_RECORD, Dataset, FormatError, SyntheticSpec,
+from sphere.data import (CIFAR_RECORD, FormatError, SyntheticSpec,
                          batch_indices, channel_stats, harmonic_spectrum,
                          load_cifar10, make_synthetic_images, make_texture_images,
                          serialize_cifar10, subset, synth_gaussian, to_float)

@@ -8,8 +8,8 @@ A^T A — so a defect in the library SVD path cannot silently self-certify.
 import numpy as np
 import pytest
 
-from sphere.linalg import (DEFAULT_EPS, NumericsError, as_matrix, frob_norm_sq,
-                           gram, row_normalize, svd)
+from sphere.linalg import DEFAULT_EPS, NumericsError, as_matrix, frob_norm_sq, row_normalize, svd
+from sphere.losses import input_gram
 
 
 def jacobi_eigh(a, sweeps=100, tol=1e-13):
@@ -108,31 +108,39 @@ class TestSvd:
 
 
 class TestGram:
+    """The package's one batch Gram, losses.input_gram, raw and row-normalized."""
+
     def test_matches_product(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 4))
-        assert np.allclose(gram(x), x @ x.T, atol=1e-12)
+        assert np.allclose(input_gram(x, normalize=False), x @ x.T, atol=1e-12)
+        xn = row_normalize(x)
+        assert np.allclose(input_gram(x), xn @ xn.T, atol=1e-12)
 
     def test_exactly_symmetric(self):
-        rng = np.random.default_rng(6)
-        g = gram(rng.standard_normal((50, 30)))
-        assert np.array_equal(g, g.T)
+        x = np.random.default_rng(6).standard_normal((50, 30))
+        for normalize in (False, True):
+            g = input_gram(x, normalize)
+            assert np.array_equal(g, g.T), normalize
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_exactly_symmetric_in_every_layout(self, dtype, layout):
-        # numpy forms one triangle of m @ m.T and mirrors it: no symmetrisation needed
+        # numpy forms one triangle of m @ m.T and mirrors it, and the row
+        # scaling multiplies entry (i, j) by d_i d_j: no symmetrisation needed
         a = np.random.default_rng(6).standard_normal((100, 60)).astype(dtype)
         m = {"C": a[:50, :30].copy(), "F": np.asfortranarray(a[:50, :30]),
              "strided": a[::2, ::2]}[layout]
-        g = gram(m)
-        assert np.array_equal(g, g.T)
+        for normalize in (False, True):
+            g = input_gram(m, normalize)
+            assert g.dtype == dtype
+            assert np.array_equal(g, g.T), normalize
 
     def test_psd(self):
-        rng = np.random.default_rng(7)
-        g = gram(rng.standard_normal((8, 3)))
-        evals, _ = jacobi_eigh(g)
-        assert evals.min() > -1e-10
+        x = np.random.default_rng(7).standard_normal((8, 3))
+        for normalize in (False, True):
+            evals, _ = jacobi_eigh(input_gram(x, normalize))
+            assert evals.min() > -1e-10, normalize
 
 
 class TestFrobNormSq:

@@ -139,7 +139,7 @@ class TestConv:
         x = rng.standard_normal((2, 3, 6, 6))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        q, _ = net.conv_forward(x, k, b)
+        q = net.conv_forward(x, k, b)
         assert q.shape == (4, 2 * 3 * 3, 4)
         assert np.allclose(to_nchw(q, 2, 6, 6), conv2d_naive(x, k, b), atol=1e-12)
 
@@ -149,7 +149,7 @@ class TestConv:
         x = rng.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2)
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        q, _ = net.conv_forward(x, k, b)
+        q = net.conv_forward(x, k, b)
         assert np.allclose(to_nchw(q, 2, 6, 6), conv2d_naive(x, k, b), atol=1e-12)
 
     def test_matches_naive_stride_2(self):
@@ -167,7 +167,7 @@ class TestConv:
         x = rng.standard_normal((1, 1, 6, 4))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        q, _ = net.conv_forward(x, k, np.zeros(1))
+        q = net.conv_forward(x, k, np.zeros(1))
         assert np.allclose(to_nchw(q, 1, 6, 4), x, atol=1e-14)
 
     def test_1x1_no_pad(self):
@@ -195,11 +195,10 @@ class TestConv:
         g = rng.standard_normal((4, 2 * 2 * 2, 3))
 
         def loss(kk, bb, xx):
-            q, _ = net.conv_forward(xx, kk, bb)
+            q = net.conv_forward(xx, kk, bb)
             return float(np.sum(q * g))
 
-        _, cache = net.conv_forward(x, k, b)
-        dk = net.conv_backward(g, cache)
+        dk = net.conv_backward(g, (None, net.im2col(x, 3, 3, 1, 1), k))  # block_backward's cache
         db = g.reshape(-1, 3).sum(axis=0)  # the bias gradient the callers take
         h = 1e-6
         for arr, grad in ((k, dk), (b, db)):
@@ -346,7 +345,7 @@ class TestBlockForward:
 def activate_then_pool(f, x, lam=0.8):
     """Reference main path of block f in conv -> activation -> maxpool
     order, without a head: (output, grads of block_backward(f, None, x))."""
-    q, conv_cache = net.conv_forward(x, f.kernel, f.bias)
+    q = net.conv_forward(x, f.kernel, f.bias)
     a, d_act = net.activation(f.activation, q), derivative(f.activation, q)
     p, wins = pool(a)
     b, _, h, w = x.shape
@@ -360,7 +359,8 @@ def activate_then_pool(f, x, lam=0.8):
     dq = net.maxpool2x2_backward(g, wins) * d_act
     # each window's one routed gradient, summed per image, then over images
     db = dq.sum(axis=0).reshape(b, -1, p.shape[1]).sum(axis=1).sum(axis=0)
-    return yp, {"main.kernel": net.conv_backward(dq, conv_cache), "main.bias": db}
+    dk = net.conv_backward(dq, (None, net.im2col(x, 3, 3, 1, 1), f.kernel))  # as block_backward
+    return yp, {"main.kernel": dk, "main.bias": db}
 
 
 # the continuous kinds: on these inputs, pooling first routes every nonzero
@@ -488,8 +488,7 @@ def q_routed_block_backward(f, phi, x, lam):
     quarter of q, in _WINDOW order, that equals the pooled max."""
     b, _, h, w = x.shape
     hw = (h // 2) * (w // 2)
-    qs = [net.conv_forward(x[i:i + net.CHUNK], f.kernel, f.bias)[0]
-          for i in range(0, b, net.CHUNK)]
+    qs = [net.conv_forward(x[i:i + net.CHUNK], f.kernel, f.bias) for i in range(0, b, net.CHUNK)]
     pre = np.concatenate([net.maxpool2x2_forward(q)[0] for q in qs])
     rows = pooled_rows(net._main_forward(f, x, train=False)[0])
     kx = input_gram(x.reshape(b, -1))

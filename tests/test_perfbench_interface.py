@@ -74,12 +74,22 @@ def test_train_greedy_returns_blocks_and_records():
         assert len(blocks) == 2 and len(records) == 2
 
 
-def test_conv_forward_cache_holds_the_kernel():
-    # spans' conv_backward annotator finds the block by id(cache[2])
+def test_conv_backward_cache_holds_the_kernel(monkeypatch):
+    # spans' conv_backward annotator finds the block by id(cache[2]): every
+    # conv_backward call of a block step, one per chunk, gets f.kernel there
     rng = np.random.default_rng(0)
-    kernel = rng.standard_normal((4, 3, 3, 3))
-    _, cache = net.conv_forward(rng.standard_normal((2, 3, 8, 8)), kernel, np.zeros(4))
-    assert cache[2] is kernel
+    f = net.init_main_block(3, 4, rng)
+    phi = net.init_aux_block(4, d_proj=4, depth=1, rng=rng)
+    kernels = []
+    conv_backward = net.conv_backward
+
+    def recording_conv_backward(dq, cache):
+        kernels.append(cache[2])
+        return conv_backward(dq, cache)
+
+    monkeypatch.setattr(net, "conv_backward", recording_conv_backward)
+    net.block_backward(f, phi, rng.standard_normal((net.CHUNK + 2, 3, 8, 8)), lam=0.8)
+    assert len(kernels) == 2 and all(k is f.kernel for k in kernels)
 
 
 def test_tracer_times_every_block(monkeypatch):

@@ -293,6 +293,22 @@ class TestEvaluateConfig:
                                  probe_epochs=1)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("channels", [(4,), (4, 8, 8)], ids=["1-block", "3-block"])
+    def test_probe_on_the_last_stage_matches_the_whole_stack(self, channels, dtype):
+        # run_transfer hands probe_blocks blocks 0..L-2 on the target images:
+        # its accuracies are those of a probe on the whole stack's features
+        x, y = tiny_dataset(n_per_class=4)
+        xte, yte = tiny_dataset(n_per_class=2, seed=1)
+        x, xte = x.astype(dtype), xte.astype(dtype)
+        cfg = TrainConfig(seed=3, channels=channels, epochs=len(channels), batch_size=16,
+                          d_proj=8, dtype=dtype)
+        blocks, _ = train_greedy(cfg, x)
+        got = trainer.probe_blocks(cfg, blocks, trainer._forward(blocks[:-1], x), y, xte, yte, 3)
+        want = train_probe(features(blocks, x), y, features(blocks, xte), yte, epochs=3,
+                           seed=cfg.seed)
+        assert got == want
+
 
 class TestTrainLinearBlock:
     @pytest.mark.parametrize("run, expected", [
