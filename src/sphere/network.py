@@ -9,19 +9,22 @@ quarter of the elements.
 
 Gradients are fully manual reverse-mode and never leave the block: the
 input gradient is not produced, and the detached skip path contributes no
-gradient at all.  Block caches hold forward values only: each backward
-pass evaluates the activation derivative at the pre-activation it caches.
+gradient at all.  A step keeps three arrays at batch size: the pooled
+pre-activation, the max-pool masks and Z.  A chunk's output rows, and with
+a head its 1x1 convs and mean, exist one chunk at a time, and the backward
+pass recomputes them from the pre-activation; the head's fc layer runs
+once, on the batch's means.
 
 Memory layout: feature maps between blocks have the logical NCHW shape
 (B, C, H, W) but are channels-last (NHWC) in memory, i.e. NCHW views of
-(B, H, W, C) arrays.  A block runs its conv, bias and max-pool CHUNK images
-at a time.  A chunk's conv rows are pool-major: im2col writes them as
+(B, H, W, C) arrays.  A block runs its whole path, conv to head, CHUNK
+images at a time.  A chunk's conv rows are pool-major: im2col writes them as
 (4, n, K), n = m*OH/2*OW/2 for m images, the position in each 2x2 pooling
 window outermost and each quarter's rows in (b, i, j) order of the pooled
 map.  So the conv GEMM yields (4, n, O), max-pooling and its backward pass
-are elementwise work on four contiguous (n, O) blocks, and the chunks'
-pooled rows, one after another, are the channels-last output map and the
-aux head's input rows with no transpose copy.  The step's batch Grams ignore
+are elementwise work on four contiguous (n, O) blocks, and a chunk's
+pooled rows are its slice of the channels-last output map and its head's
+input rows with no transpose copy.  The step's batch Grams ignore
 column order, so they read rows in memory order: K_X the input's own (B, D)
 row view, and Z without a head the pooled rows viewed as (B, h*w*C).
 
@@ -261,66 +264,81 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
 
 
 def _chunks(x, n):
-    """(images, pooled rows) of each CHUNK images of x in turn, n pooled
-    rows per image."""
+    """(images, their slice, their rows) of each CHUNK images of x, n rows each."""
     for i in range(0, len(x), CHUNK):
         xc = x[i:i + CHUNK]
-        yield xc, slice(n * i, n * (i + len(xc)))
+        yield xc, slice(i, i + len(xc)), slice(n * i, n * (i + len(xc)))
 
 
-def _main_forward(f: MainBlock, x, train: bool = True):
-    """Main-path output of block f on x and, when train is set, the cache
-    block_backward reads: (wins, pre), the batch's (4, B*hw, O) max-pool
-    masks and its pooled map, the pre-activation.  With train False the
-    cache is None."""
-    b, _, h, w = x.shape
-    o = f.kernel.shape[0]
-    hw = (h // 2) * (w // 2)  # pooled rows per image
-    pre = np.empty((b * hw, o), np.result_type(x, f.kernel))
-    wins = np.empty((4, b * hw, o), dtype=bool) if train else None
-    for xc, rows in _chunks(x, hw):
-        maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias), out=pre[rows],
-                           wins=None if wins is None else wins[:, rows])
-    p = activation(f.activation, pre).reshape(b, h // 2, w // 2, o).transpose(0, 3, 1, 2)
+def _add(grads, name, g):
+    """Sum a chunk's fresh gradient g into grads[name]."""
+    grads[name] = np.add(grads[name], g, out=grads[name]) if name in grads else g
+
+
+def _activate(f: MainBlock, pre, xc):
+    """Fresh output rows of f on chunk xc from its pooled pre-activation."""
+    y = activation(f.activation, pre)
     if f.use_skip:
         # detached: no gradient flows back through skip.  Missing skip
         # channels count as zeros, surplus ones are dropped.
-        skip = avgpool2x2(x)
-        n = min(skip.shape[1], p.shape[1])
-        p[:, :n] += skip[:, :n]
-    return p, (wins, pre) if train else None
+        skip = avgpool2x2(xc)
+        n = min(skip.shape[1], y.shape[1])
+        y.reshape(len(xc), *skip.shape[2:], -1)[..., :n] += skip[:, :n].transpose(0, 2, 3, 1)
+    return y
+
+
+def _main_forward(f: MainBlock, x, train: bool = True, phi=None):
+    """Output of block f on x, its channels-last (B, O, h, w) map or, with
+    a head phi, each image's head mean (see _aux_forward); and when train
+    is set the cache block_backward reads: (wins, pre), the batch's (4,
+    B*hw, O) max-pool masks and its pooled map, the pre-activation.  With
+    train False the cache is None."""
+    b, _, h, w = x.shape
+    o = f.kernel.shape[0]
+    hw = (h // 2) * (w // 2)  # pooled rows per image
+    dtype = np.result_type(x, f.kernel)
+    out = np.empty((b * hw, o) if phi is None else (b, phi.fc_w.shape[0]), dtype)
+    pre = np.empty((b * hw, o), dtype) if train else None
+    wins = np.empty((4, b * hw, o), dtype=bool) if train else None
+    for xc, imgs, rows in _chunks(x, hw):
+        p, _ = maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias),
+                                  *((pre[rows], wins[:, rows]) if train else ()))
+        if phi is None:
+            out[rows] = _activate(f, p, xc)
+        else:
+            out[imgs] = _aux_forward(phi, _activate(f, p, xc), hw)[0]
+    if phi is None:
+        out = out.reshape(b, h // 2, w // 2, o).transpose(0, 3, 1, 2)
+    return out, (wins, pre) if train else None
 
 
 def _aux_forward(phi: AuxBlock, rows, hw: int):
-    """Z of the projection head on the (B*hw, C) rows of a main output, hw
-    rows per image in (b, i, j) order; the cache holds each 1x1 conv's
-    input rows and pre-activation."""
+    """The projection head up to its fc layer on the (n*hw, C) rows of a
+    main output, hw rows per image in (b, i, j) order: each image's mean
+    (n, C') of the 1x1 conv stack's output, and the cache, each conv's input
+    rows and pre-activation.  Z = mean @ fc_w + fc_b, over the whole batch."""
     conv_caches = []
     for k, bias in zip(phi.conv_kernels, phi.conv_biases):
         pre = rows @ k.T
         pre += bias
         conv_caches.append((rows, pre))
         rows = activation(phi.activation, pre)
-    g = rows.reshape(-1, hw, rows.shape[1]).mean(axis=1)
-    z = g @ phi.fc_w + phi.fc_b
-    return z, (conv_caches, g)
+    return rows.reshape(-1, hw, rows.shape[1]).mean(axis=1), conv_caches
 
 
-def _aux_backward(phi: AuxBlock, cache, dz, hw: int):
-    """Reverse pass of _aux_forward for dL/dZ = dz over images of hw rows
-    each; returns (grads keyed as in phi.params(), gradient of the input
-    rows)."""
-    conv_caches, g = cache
-    grads = {"fc_w": g.T @ dz, "fc_b": dz.sum(axis=0)}
+def _aux_backward(phi: AuxBlock, conv_caches, dg, hw: int, grads: dict):
+    """Reverse pass of _aux_forward for the gradient dg (n, C') of its
+    means: sums each conv's gradients into grads, keyed "aux.<name>" as in
+    block_params, and returns the gradient of the input rows."""
     # pooling backward: each image's gradient spread over its hw rows
-    d_rows = np.repeat(dz @ phi.fc_w.T / hw, hw, axis=0)
+    d_rows = np.repeat(dg / hw, hw, axis=0)
     for i in range(len(conv_caches) - 1, -1, -1):
         rows, pre = conv_caches[i]
         d_rows *= activation_grad(phi.activation, pre)  # d_rows is fresh: np.repeat or a matmul
-        grads[f"conv{i}_kernel"] = d_rows.T @ rows
-        grads[f"conv{i}_bias"] = d_rows.sum(axis=0)
+        _add(grads, f"aux.conv{i}_kernel", d_rows.T @ rows)
+        _add(grads, f"aux.conv{i}_bias", d_rows.sum(axis=0))
         d_rows = d_rows @ phi.conv_kernels[i]
-    return grads, d_rows
+    return d_rows
 
 
 def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
@@ -330,45 +348,47 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
 
     Returns (grads, bundle) where grads maps "main.<name>" / "aux.<name>"
     to arrays shaped like the parameters.  No input gradient is produced.
+    Only pre, wins and Z are batch-sized: the backward pass recomputes each
+    chunk's output rows and head activations from pre.
     """
     if x.shape[0] < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
     # K_X from x's rows in memory order: free for a C-contiguous or channels-last x
     nhwc = x.transpose(0, 2, 3, 1)
     kx = input_gram((nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1))
-    yp, (wins, pre) = _main_forward(f, x)
-    b, c, h, w = yp.shape
-    rows = yp.transpose(0, 2, 3, 1).reshape(-1, c)  # the pooled rows: a free view
-    if phi is None:
-        z = rows.reshape(b, -1)
-    else:
-        z, aux_cache = _aux_forward(phi, rows, h * w)
+    out, (wins, pre) = _main_forward(f, x, phi=phi)
+    b, hw, c = len(x), len(pre) // len(x), pre.shape[1]  # hw pooled rows per image
+    # Z: without a head the output's pooled rows, flat; with one its fc layer on the means
+    z = out.transpose(0, 2, 3, 1).reshape(b, -1) if phi is None else out @ phi.fc_w + phi.fc_b
 
     bundle, dz = structural_grads(z, kx, lam, use_sphere=use_sphere, use_oja=use_oja)
     if phi is None:  # dz is in pooled-row order
-        grads, g = {}, dz.reshape(-1, c)
-    else:
-        aux_grads, g = _aux_backward(phi, aux_cache, dz, h * w)
-        grads = {f"aux.{k}": v for k, v in aux_grads.items()}
+        grads, dz = {}, dz.reshape(-1, c)
+    else:  # the fc layer's; dz becomes the gradient of the head's means
+        grads = {"aux.fc_w": out.T @ dz, "aux.fc_b": dz.sum(axis=0)}
+        dz = dz @ phi.fc_w.T
 
-    # skip path (if any) is detached: g, the gradient of the pooled rows,
-    # passes to the main path only.  Each window routes its gradient to one
-    # row of dq, the one its mask marks, so the bias gradient is the sum of
-    # the n routed gradients: per image, then over the batch, which at the
-    # block shapes is as fast as one pass over the n rows and 3-11x more
-    # accurate in float32.  The kernel gradient is the sum of each chunk's
-    # GEMM on its rebuilt im2col rows.
+    # skip path (if any) is detached: g, the gradient of a chunk's pooled
+    # rows, passes to the main path only.  Each window routes its gradient
+    # to one row of dq, the one its mask marks, so the bias gradient is the
+    # sum of the n routed gradients: per image, then over the batch, which
+    # at the block shapes is as fast as one pass over the n rows and 3-11x
+    # more accurate in float32.  The kernel gradient is the sum of each
+    # chunk's GEMM on its rebuilt im2col rows.
     kh, kw = f.kernel.shape[2:]
-    for xc, rows in _chunks(x, h * w):
-        g[rows] *= activation_grad(f.activation, pre[rows])  # at the pooled map; g is fresh
-        dq = maxpool2x2_backward(g[rows], wins[:, rows])
-        # perfbench's tracer finds the block by the kernel at cache[2]
-        dk = conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1), f.kernel))
-        if rows.start:
-            grads["main.kernel"] += dk
+    db = np.empty((b, c), pre.dtype)  # per image
+    for xc, imgs, rows in _chunks(x, hw):
+        if phi is None:
+            g = dz[rows]  # a view of the fresh dz
         else:
-            grads["main.kernel"] = dk
-    grads["main.bias"] = g.reshape(b, -1, c).sum(axis=1).sum(axis=0)
+            _, cache = _aux_forward(phi, _activate(f, pre[rows], xc), hw)
+            g = _aux_backward(phi, cache, dz[imgs], hw, grads)
+        g *= activation_grad(f.activation, pre[rows])  # at the pooled map
+        db[imgs] = g.reshape(len(xc), hw, c).sum(axis=1)
+        dq = maxpool2x2_backward(g, wins[:, rows])
+        # perfbench's tracer finds the block by the kernel at cache[2]
+        _add(grads, "main.kernel", conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1), f.kernel)))
+    grads["main.bias"] = db.sum(axis=0)
     return grads, bundle
 
 

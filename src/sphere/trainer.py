@@ -185,11 +185,18 @@ def build_blocks(config: TrainConfig, in_channels: int, rng):
 
 
 def _forward(blocks, x):
-    """Main-path output of `blocks` applied in turn to all of x; builds no
-    cache.  Each block bounds its own im2col rows to network.CHUNK images."""
-    for f, _ in blocks:
-        x, _ = net._main_forward(f, x, train=False)
-    return x
+    """Output of `blocks` applied in turn to x, the NCHW view of a channels-last
+    array; no cache.  The stack runs over 4 * network.CHUNK images at a time, so
+    each conv sees the same CHUNK images and only one group's maps exist at once."""
+    out, group = None, 4 * net.CHUNK
+    for i in range(0, max(len(x), 1), group):  # an empty x runs once, for its shape
+        y = x[i:i + group]
+        for f, _ in blocks:
+            y, _ = net._main_forward(f, y, train=False)
+        if out is None:
+            out = np.empty((len(x), *y.shape[2:], y.shape[1]), y.dtype)
+        out[i:i + group] = y.transpose(0, 2, 3, 1)
+    return out.transpose(0, 3, 1, 2)
 
 
 def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
@@ -261,8 +268,8 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
 
 def features(blocks, images) -> np.ndarray:
     """Post-pool output of the final block, flattened in NCHW column order
-    (the probe's initial weights pair with these columns).  Each block runs
-    once over all images, network.CHUNK images at a time."""
+    (the probe's initial weights pair with these columns).  The blocks run
+    over one group of images at a time (see _forward)."""
     return _forward(blocks, images).reshape(len(images), -1)
 
 
@@ -385,7 +392,7 @@ def run_linearity_study(epochs: int, seed: int):
     phi = net.AuxBlock(conv_kernels=[w0.T, w1.T],
                        conv_biases=[np.zeros(128), np.zeros(128)],
                        fc_w=w2, fc_b=np.zeros(m), activation="tanh")
-    nl_opt = AdamW(phi.params(), lr=3e-3)
+    nl_opt = AdamW({f"aux.{k}": v for k, v in phi.params().items()}, lr=3e-3)
 
     kx = input_gram(x, normalize=False)
     cka_curve = []
@@ -393,15 +400,18 @@ def run_linearity_study(epochs: int, seed: int):
     total = epochs * steps_per_epoch
     lin_steps = _linear_steps(x, w_lin, 2e-2, total)
     for step in range(total):
-        z, cache = net._aux_forward(phi, x, 1)
+        g, cache = net._aux_forward(phi, x, 1)
+        z = g @ phi.fc_w + phi.fc_b
         if step % steps_per_epoch == 0:  # both branches as they enter the epoch
             cka_curve.append(cka(x @ w_lin, z))
         next(lin_steps)
         _, dz = structural_grads(z, kx, normalize=False)
-        nl_opt.step(net._aux_backward(phi, cache, dz, 1)[0], lr=cosine_lr(step, total, 3e-3))
+        grads = {"aux.fc_w": g.T @ dz, "aux.fc_b": dz.sum(axis=0)}
+        net._aux_backward(phi, cache, dz @ phi.fc_w.T, 1, grads)
+        nl_opt.step(grads, lr=cosine_lr(step, total, 3e-3))
 
     z_lin = x @ w_lin
-    z_nl, _ = net._aux_forward(phi, x, 1)
+    z_nl = net._aux_forward(phi, x, 1)[0] @ phi.fc_w + phi.fc_b
     cka_curve.append(cka(z_lin, z_nl))
     return cka_curve, svd_alignment(z_lin.T, z_nl.T, k=36)
 

@@ -284,7 +284,8 @@ class TestBlockForward:
         phi = net.init_aux_block(8, d_proj=16, depth=1, rng=rng)
         x = rng.standard_normal((4, 3, 8, 8))
         yp, _ = net._main_forward(f, x)
-        z, _ = net._aux_forward(phi, pooled_rows(yp), 16)
+        g, _ = net._aux_forward(phi, pooled_rows(yp), 16)
+        z = g @ phi.fc_w + phi.fc_b
         assert yp.shape == (4, 8, 4, 4)
         assert z.shape == (4, 16)
 
@@ -299,8 +300,8 @@ class TestBlockForward:
         for k, b in zip(phi.conv_kernels, phi.conv_biases):
             h = net.activation(phi.activation, conv2d_naive(h, k[:, :, None, None], b, pad=0))
         expected = h.mean(axis=(2, 3)) @ phi.fc_w + phi.fc_b
-        z, _ = net._aux_forward(phi, pooled_rows(yp), 16)
-        assert np.allclose(z, expected, atol=1e-12)
+        g, _ = net._aux_forward(phi, pooled_rows(yp), 16)
+        assert np.allclose(g @ phi.fc_w + phi.fc_b, expected, atol=1e-12)
 
     @pytest.mark.parametrize("use_skip", [False, True])
     @pytest.mark.parametrize("channels_last_input", [False, True])
@@ -482,10 +483,12 @@ class TestBlockReference:
                 assert err <= 1e-12, f"{name}: relative {err:.3g}"
 
 
-def q_routed_block_backward(f, phi, x, lam):
+def q_routed_block_backward(f, phi, x, lam, head_images=net.CHUNK):
     """block_backward of a C-contiguous x as it was when the step kept the
     batch's float conv output q: each window's gradient goes to the first
-    quarter of q, in _WINDOW order, that equals the pooled max."""
+    quarter of q, in _WINDOW order, that equals the pooled max.  The head
+    runs over head_images images at a time, its gradients summed over those
+    groups; the step's are chunks."""
     b, _, h, w = x.shape
     hw = (h // 2) * (w // 2)
     qs = [net.conv_forward(x[i:i + net.CHUNK], f.kernel, f.bias) for i in range(0, b, net.CHUNK)]
@@ -496,10 +499,13 @@ def q_routed_block_backward(f, phi, x, lam):
         bundle, dz = structural_grads(rows.reshape(b, -1), kx, lam)
         grads, g = {}, dz.reshape(rows.shape)
     else:
-        z, aux_cache = net._aux_forward(phi, rows, hw)
-        bundle, dz = structural_grads(z, kx, lam)
-        aux_grads, g = net._aux_backward(phi, aux_cache, dz, hw)
-        grads = {f"aux.{k}": v for k, v in aux_grads.items()}
+        starts = range(0, b, head_images)
+        heads = [net._aux_forward(phi, rows[i * hw:(i + head_images) * hw], hw) for i in starts]
+        means = np.concatenate([m for m, _ in heads])
+        bundle, dz = structural_grads(means @ phi.fc_w + phi.fc_b, kx, lam)
+        grads, dg = {"aux.fc_w": means.T @ dz, "aux.fc_b": dz.sum(axis=0)}, dz @ phi.fc_w.T
+        g = np.concatenate([net._aux_backward(phi, cache, dg[i:i + head_images], hw, grads)
+                            for i, (_, cache) in zip(starts, heads)])
     g = g * net.activation_grad(f.activation, pre)
     dks, start = [], 0
     for i, q in enumerate(qs):
@@ -596,12 +602,32 @@ class TestBlockBackward:
                 assert g.dtype == dtype
                 assert np.array_equal(g, want_grads[name]), name
 
-    @pytest.mark.parametrize("block, bound_mb", [(0, 40), (1, 25), (2, 15)])
+    @pytest.mark.parametrize("use_skip", [False, True])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("activation", net.ACTIVATIONS)
+    def test_chunked_head_matches_whole_batch_head(self, activation, depth, use_skip):
+        # the step sums the head's conv gradients over chunks, the whole-batch
+        # head forms each in one GEMM: in float64 that reorders sums only.
+        # Two full chunks and a ragged one
+        rng = np.random.default_rng(29)
+        f = net.init_main_block(3, 8, rng, activation=activation, use_skip=use_skip)
+        phi = net.init_aux_block(8, 12, depth, rng, activation=activation)
+        x = rng.standard_normal((2 * net.CHUNK + 3, 3, 8, 8))
+        grads, bundle = net.block_backward(f, phi, x, lam=0.8)
+        want_grads, want = q_routed_block_backward(f, phi, x, 0.8, head_images=len(x))
+        assert bundle.total == pytest.approx(want.total, rel=1e-12, abs=0)
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            err = np.max(np.abs(g - want_grads[name]))
+            assert err <= 1e-12 * np.max(np.abs(want_grads[name])), f"{name}: {err:.3g}"
+
+    @pytest.mark.parametrize("block, bound_mb", [(0, 24), (1, 16), (2, 10)])
     def test_desk_step_traced_peak(self, block, bound_mb):
-        # one float32 step at a desk block: 128 images, head depth 1.  The
-        # batch's im2col rows alone would take 14.2, 56.6 and 28.3 MB, one
-        # chunk's 0.9-3.5 MB; its float conv output 25.2, 12.6 and 6.3 MB,
-        # the max-pool masks a quarter of that
+        # one float32 step at a desk block: 128 images, head depth 1.  It
+        # keeps the pooled pre-activation and the max-pool masks, 6.3, 3.1
+        # and 1.6 MB each, and reads 17.0/12.2/7.5 MB; with a whole-batch
+        # head, 31.9/19.7/11.8 MB.  The batch's im2col rows alone would take
+        # 14.2, 56.6 and 28.3 MB, one chunk's 0.9-3.5 MB
         f, phi, x = desk_block(block, 128)
         tracemalloc.start()
         try:

@@ -245,6 +245,20 @@ class TestTrainGreedy:
         conv = 64 * 16 * 16 * 16 * 8   # conv output
         assert peak < rows + 2 * conv
 
+    def test_features_run_the_stack_one_group_at_a_time(self):
+        # 256 float64 images at the default widths: the output and its flat
+        # copy take 6.3 MB each, one group of 4 * CHUNK images' maps about
+        # 7 MB.  Running each block over all the images first read 50.3 MB
+        blocks = build_blocks(TrainConfig(), 3, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((256, 3, 32, 32))
+        tracemalloc.start()
+        try:
+            features(blocks, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, f"traced peak {peak / 1e6:.1f} MB"
+
 
 class TestEvaluateConfig:
     def test_returns_accuracies_only(self):
