@@ -1,8 +1,9 @@
 """The structural-projection objective and its analytic weight gradients
 in the linear case Y = X @ W.
 
-``structural_grads`` is the objective's one definition: it returns the
-loss bundle and dL/dZ that training and the linear analyses use, while
+``structural_grads`` is the objective's one definition: training uses its
+loss bundle and dL/dZ.  The linear analyses take the raw matching term from
+``raw_sphere_grads``, which tests/test_losses.py pins to it bit for bit, and
 ``sphere_loss`` and ``orth_loss`` evaluate single terms as references.
 Every term is evaluated through B x B batch Grams (or Z's singular
 values), never an M x M matrix.  ``normalize`` selects one of two modes:
@@ -101,14 +102,24 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
     return LossBundle(sphere=match, orth=orth, total=match + lam * orth), coef @ z
 
 
+def raw_sphere_grads(z, kx):
+    """Raw matching loss ||Z Z^T - K_X||_F^2 and dL/dZ = 4 (Z Z^T - K_X) Z: the
+    bits of structural_grads(z, kx, normalize=False)'s sphere slot and dL/dZ."""
+    kd = z @ z.T
+    kd -= kx
+    dz = kd @ z
+    dz *= 4.0
+    return float((kd * kd).sum()), dz
+
+
 def sphere_grad_linear(x, w) -> np.ndarray:
     """Analytic gradient of ||Y Y^T - X X^T||_F^2 wrt W for Y = X @ W:
-    X^T dL/dY = 4 X^T (Y Y^T - X X^T) Y.  Uses raw (unnormalized) X."""
+    X^T dL/dY = 4 X^T (Y Y^T - X X^T) Y, from raw_sphere_grads on raw X."""
     x = as_matrix(x)
     w = as_matrix(w)
     if x.shape[1] != w.shape[0]:
         raise NumericsError("shape mismatch: X cols != W rows")
-    _, dy = structural_grads(x @ w, input_gram(x, normalize=False), normalize=False)
+    _, dy = raw_sphere_grads(x @ w, input_gram(x, normalize=False))
     return x.T @ dy
 
 

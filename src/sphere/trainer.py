@@ -13,7 +13,7 @@ import numpy as np
 from . import data as datamod
 from . import network as net
 from .linalg import NumericsError, SphereError, as_matrix
-from .losses import input_gram, structural_grads
+from .losses import input_gram, raw_sphere_grads
 from .oracle import cka, svd_alignment
 
 
@@ -343,16 +343,16 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k: int = 5) -> 
 def _linear_steps(x, w, lr: float, steps: int):
     """Full-batch AdamW on the raw structural loss of Z = X W, cosine lr from
     `lr`: updates w in place and yields the loss each step's gradient was
-    taken at."""
+    taken at.  A step is four small GEMMs plus the AdamW update."""
     # X^T X = R^T R, so the loss and X^T dL/dZ at Z = R W equal those at Z = X W,
     # while each step forms min(B, N)^2 Grams instead of B x B ones
     r = np.linalg.qr(x, mode="r")
     kr = input_gram(r, normalize=False)
     opt = AdamW({"w": w}, lr=lr)
     for step in range(steps):
-        bundle, dz = structural_grads(r @ w, kr, normalize=False)
+        loss, dz = raw_sphere_grads(r @ w, kr)
         opt.step({"w": r.T @ dz}, lr=cosine_lr(step, steps, lr))
-        yield bundle.sphere
+        yield loss
 
 
 def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0):
@@ -360,11 +360,15 @@ def train_linear_block(x: np.ndarray, m: int, steps: int = 30000, seed: int = 0)
     against the raw structural loss: full-batch AdamW, cosine lr from 1e-2.
 
     Returns (w, history): history[i] is the raw sphere loss at the weights
-    that step i's gradient was taken at.
+    that step i's gradient was taken at.  A non-finite step raises TrainingDivergedError.
     """
     x = as_matrix(x, dtype=np.float64)
     w = np.linalg.qr(np.random.default_rng(seed).standard_normal((x.shape[1], m)))[0]
-    return w, list(_linear_steps(x, w, 1e-2, steps))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return w, list(_linear_steps(x, w, 1e-2, steps))
+    except FloatingPointError as e:
+        raise TrainingDivergedError(f"{e} during linear block training") from None
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +409,7 @@ def run_linearity_study(epochs: int, seed: int):
         if step % steps_per_epoch == 0:  # both branches as they enter the epoch
             cka_curve.append(cka(x @ w_lin, z))
         next(lin_steps)
-        _, dz = structural_grads(z, kx, normalize=False)
+        _, dz = raw_sphere_grads(z, kx)
         grads = {"aux.fc_w": g.T @ dz, "aux.fc_b": dz.sum(axis=0)}
         net._aux_backward(phi, cache, dz @ phi.fc_w.T, 1, grads)
         nl_opt.step(grads, lr=cosine_lr(step, total, 3e-3))

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from sphere.linalg import DEFAULT_EPS, NumericsError, as_matrix, row_normalize
-from sphere.losses import (LossBundle, input_gram, orth_loss, sphere_grad_linear,
-                           sphere_loss, structural_grads)
+from sphere.losses import (LossBundle, input_gram, orth_loss, raw_sphere_grads,
+                           sphere_grad_linear, sphere_loss, structural_grads)
 from sphere.oracle import principal_projection
 
 
@@ -198,6 +198,26 @@ class TestSphereGrad:
         assert br.sphere == pytest.approx(bx.sphere, rel=1e-12)
         gx = x.T @ dzx
         assert np.abs(r.T @ dzr - gx).max() <= 1e-12 * np.abs(gx).max()
+
+
+class TestRawSphereGrads:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case, m", [("lemma", 4), ("lemma", 8), ("lemma", 16), ("study", 40)])
+    def test_bit_equal_to_structural_grads(self, dtype, case, m):
+        # the lemma's Z = R W against K_R, R the 32 x 32 factor of a 64 x 32 X,
+        # and the linearity study's 256 x 40 head output against its 256 x 256 K_X
+        rng = np.random.default_rng(m)
+        if case == "lemma":
+            x = np.linalg.qr(rng.standard_normal((64, 32)), mode="r").astype(dtype)
+        else:
+            x = rng.standard_normal((256, 64)).astype(dtype)
+        kx = input_gram(x, normalize=False)
+        z = x @ (rng.standard_normal((x.shape[1], m)) / np.sqrt(x.shape[1])).astype(dtype)
+        loss, dz = raw_sphere_grads(z, kx)
+        bundle, want = structural_grads(z, kx, normalize=False)
+        assert loss == bundle.sphere
+        assert dz.dtype == want.dtype == dtype
+        assert np.array_equal(dz, want)
 
 
 class TestOrth:

@@ -2,18 +2,20 @@
 locality and determinism, probe/KNN behavior on controlled feature sets."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from sphere import network as net
 from sphere import trainer
-from sphere.data import make_synthetic_images, channel_stats, to_float
+from sphere.data import (SyntheticSpec, channel_stats, harmonic_spectrum, make_synthetic_images,
+                         synth_gaussian, to_float)
 from sphere.linalg import NumericsError
-from sphere.losses import sphere_loss
+from sphere.losses import input_gram, sphere_loss, structural_grads
 from sphere.trainer import (AdamW, FrozenBlocksMutatedError, OptimizerError, TrainConfig,
-                            build_blocks, cosine_lr, evaluate_config, features,
-                            knn_eval, param_checksum, train_greedy, train_probe)
+                            TrainingDivergedError, build_blocks, cosine_lr, evaluate_config,
+                            features, knn_eval, param_checksum, train_greedy, train_probe)
 
 
 class TestAdamW:
@@ -336,13 +338,13 @@ class TestTrainLinearBlock:
     def test_steps_see_at_most_n_rows(self, monkeypatch, run, expected):
         # each linear step works on X's N x N triangular factor, whatever B is
         shapes = []
-        real = trainer.structural_grads
+        real = trainer.raw_sphere_grads
 
-        def spy(z, kx, **kwargs):
+        def spy(z, kx):
             shapes.append((z.shape, kx.shape))
-            return real(z, kx, **kwargs)
+            return real(z, kx)
 
-        monkeypatch.setattr(trainer, "structural_grads", spy)
+        monkeypatch.setattr(trainer, "raw_sphere_grads", spy)
         run()
         assert shapes == expected
 
@@ -374,6 +376,30 @@ class TestTrainLinearBlock:
         w0 = np.linalg.qr(np.random.default_rng(5).standard_normal((32, 8)))[0]
         _, history = trainer.train_linear_block(x, 8, steps=1, seed=5)
         assert history[0] == pytest.approx(sphere_loss(x @ w0, x, normalize=False), rel=1e-12)
+
+    def test_bit_equal_to_the_structural_grads_loop(self):
+        # the loop as written on the training objective's loss bundle
+        x = synth_gaussian(SyntheticSpec(b=64, n=32, spectrum=harmonic_spectrum(32), seed=1))
+        w, history = trainer.train_linear_block(x, 8, steps=300, seed=1)
+        r = np.linalg.qr(x, mode="r")
+        kr = input_gram(r, normalize=False)
+        w_ref = np.linalg.qr(np.random.default_rng(1).standard_normal((32, 8)))[0]
+        opt = AdamW({"w": w_ref}, lr=1e-2)
+        ref = []
+        for step in range(300):
+            bundle, dz = structural_grads(r @ w_ref, kr, normalize=False)
+            opt.step({"w": r.T @ dz}, lr=cosine_lr(step, 300, 1e-2))
+            ref.append(bundle.sphere)
+        assert history == ref
+        assert np.array_equal(w, w_ref)
+
+    def test_overflow_raises_diverged_without_warning(self):
+        # 1e80 rows overflow the loss's squared Gram difference at the first step
+        x = np.random.default_rng(0).standard_normal((64, 32)) * 1e80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="overflow"):
+                trainer.train_linear_block(x, 8, steps=3)
 
 
 class TestProbe:
