@@ -169,18 +169,23 @@ def _nearest_existing(path: str) -> str:
     return path
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to a temp file in the nearest existing directory above
-    `path`, then make `path`'s directory and rename the temp over `path`,
-    so a failed write leaves neither a partial artifact nor a new directory."""
-    fd, tmp = tempfile.mkstemp(dir=_nearest_existing(os.path.dirname(path)), prefix=".tmp-")
+def _write_run(out: str, artifacts: dict) -> None:
+    """Write each text of `artifacts` to a temp file in the nearest existing
+    directory at or above `out`, then make `out` and rename the temps into
+    it in order; on failure, unlink the temps not yet renamed."""
+    tmps = {}  # artifact name -> its temp file, until renamed
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        os.replace(tmp, path)
+        for name, text in artifacts.items():
+            fd, tmps[name] = tempfile.mkstemp(dir=_nearest_existing(out), prefix=".tmp-")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        os.makedirs(out, exist_ok=True)
+        for name in artifacts:
+            os.replace(tmps[name], os.path.join(out, name))
+            del tmps[name]
     except BaseException:
-        os.unlink(tmp)
+        for tmp in tmps.values():
+            os.unlink(tmp)
         raise
 
 
@@ -455,14 +460,13 @@ def main(argv=None):
         code, summary, records = args.fn(args, cfg)
         manifest = [f"command = {args.command}", f"seed = {args.seed}",
                     f"version = {_git_describe()}", *(f"{k} = {cfg[k]}" for k in sorted(cfg))]
-        try:  # the manifest last: it marks a complete run
-            if records is not None:
-                _write_atomic(os.path.join(out, "metrics.jsonl"),
-                              "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
-            _write_atomic(os.path.join(out, "summary.json"), json.dumps(
-                {"schema": 1, "command": args.command, **summary},
-                indent=1, sort_keys=True) + "\n")
-            _write_atomic(os.path.join(out, "manifest.txt"), "\n".join(manifest) + "\n")
+        artifacts = {} if records is None else {
+            "metrics.jsonl": "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)}
+        artifacts["summary.json"] = json.dumps({"schema": 1, "command": args.command, **summary},
+                                               indent=1, sort_keys=True) + "\n"
+        artifacts["manifest.txt"] = "\n".join(manifest) + "\n"  # last: it marks a complete run
+        try:
+            _write_run(out, artifacts)
         except OSError as exc:
             raise ConfigError(f"--out {args.out!r}: cannot write the run there: {exc}") from exc
         return code

@@ -1,6 +1,6 @@
 """Dense linear algebra substrate: matrix validation, Frobenius norms, thin
-SVD.  The batch Gram and its row normalisation live in losses.input_gram;
-the row normalisation below is kept only as a name perfbench's tracer wraps.
+SVD.  The batch Gram and its row normalisation live in losses (input_gram,
+structural_grads); row_normalize is kept only as a name perfbench's tracer wraps.
 
 All functions operate on 2-D numpy arrays ("matrices", rows = samples) and
 check finiteness at the public boundary.  Verification paths should pass

@@ -1,21 +1,18 @@
 """The structural-projection objective and its analytic weight gradients
 in the linear case Y = X @ W.
 
-``structural_grads`` is the objective's one definition: training uses its
-loss bundle and dL/dZ.  The linear analyses take the raw matching term from
-``raw_sphere_grads``, which tests/test_losses.py pins to it bit for bit, and
-``sphere_loss`` and ``orth_loss`` evaluate single terms as references.
-Every term is evaluated through B x B batch Grams (or Z's singular
-values), never an M x M matrix.  ``normalize`` selects one of two modes:
+Every term is evaluated through B x B batch Grams from ``input_gram`` (or
+Z's singular values), never an M x M matrix, in one of two modes:
 
-* training (``normalize=True``, the default) row-normalizes the inputs,
-  which bounds loss magnitudes across datasets, with the norms read off
-  the Gram's diagonal and the Jacobian folded into B x B coefficients;
-* linear analysis (``normalize=False``) uses the raw matrices, so it
-  matches the closed-form SVD oracle exactly.
+* training: ``structural_grads``, the objective's one definition, row-
+  normalizes Z and the block input, which bounds loss magnitudes across
+  datasets, with ``_normalize_gram`` reading the norms off each Gram's
+  diagonal and the Jacobian folded into B x B coefficients;
+* linear analysis: ``raw_sphere_grads``, the raw matching term, and
+  ``sphere_grad_linear`` use the raw matrices, so they match the
+  closed-form SVD oracle exactly.
 
-Every row normalisation is ``_normalize_gram``'s, and ``sphere_loss``
-reads both its Grams through ``input_gram``.  ``orth_loss`` is raw-only.
+``sphere_loss`` (either mode) and ``orth_loss`` (raw) are references.
 """
 
 from dataclasses import dataclass
@@ -35,25 +32,23 @@ class LossBundle:
 
 
 def sphere_loss(z, x, normalize: bool = True) -> float:
-    """Structural-matching loss ||K_Z - K_X||_F^2 on the input_gram batch
-    Grams: row-normalized with ``normalize=True`` (training mode), raw with
+    """Structural-matching loss ||K_Z - K_X||_F^2 on the batch Grams:
+    row-normalized with ``normalize=True`` (training mode), raw with
     ``normalize=False`` (oracle / linear-analysis mode)."""
     z = as_matrix(z)
     x = as_matrix(x)
     if z.shape[0] != x.shape[0]:
         raise NumericsError("batch-size mismatch between Z and X")
-    return frob_norm_sq(input_gram(z, normalize) - input_gram(x, normalize))
-
-
-def input_gram(x, normalize: bool = True) -> np.ndarray:
-    """Batch Gram K_X = X X^T of a block input's (B, D) rows in any column
-    order, the `kx` of structural_grads; on the training path D (X X^T) D,
-    D = diag(1 / max(row norm, DEFAULT_EPS)) with the norms read off the
-    diagonal.  Raises NumericsError when K_X is not finite."""
-    k = as_matrix(x @ x.T)
-    if normalize:
+    kz, kx = input_gram(z), input_gram(x)
+    for k in (kz, kx) if normalize else ():
         _normalize_gram(k)
-    return k
+    return frob_norm_sq(kz - kx)
+
+
+def input_gram(x) -> np.ndarray:
+    """Raw batch Gram K_X = X X^T of a block input's (B, D) rows in any
+    column order.  Raises NumericsError when K_X is not finite."""
+    return as_matrix(x @ x.T)
 
 
 def _normalize_gram(k):
@@ -65,24 +60,23 @@ def _normalize_gram(k):
     return n, d
 
 
-def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
-                     use_sphere: bool = True, use_oja: bool = False):
-    """Loss bundle and dL/dZ of L = match(Z, K_X) + lam ||Z^T Z - I||_F^2.
-
-    The matching term is ||K_Z - K_X||_F^2 (use_sphere), the ridge-Oja
-    trace 1/4 Tr(D (K_X + rI)^{-1} D) with D = K_Z - K_X (use_oja), or
-    their sum; the bundle's sphere slot reports it.  `kx` must come from
-    input_gram with the same `normalize`.  With normalize=True, Z's rows
-    are normalized as input_gram does and dL/dZ includes that map's Jacobian.
+def structural_grads(z, x, lam: float = 0.0, use_sphere: bool = True, use_oja: bool = False):
+    """Loss bundle and dL/dZ of L = match(Z, K_X) + lam ||Z^T Z - I||_F^2 on
+    row-normalized Z and X, X the block input's (B, D) rows in any column
+    order.  The matching term is ||K_Z - K_X||_F^2 (use_sphere), the
+    ridge-Oja trace 1/4 Tr(D (K_X + rI)^{-1} D) with D = K_Z - K_X
+    (use_oja), or their sum; the bundle's sphere slot reports it.
 
     All terms use K_Z: the penalty is ||K_Z||^2 - 2 tr K_Z + M, its gradient
-    4 (K_Z - I) Z, and dL/dZ = C Z, so only Z Z^T and C Z read Z; with
-    normalize=True, C = S (A - diag(rowsum(A * K_Z))) S, S the row scaling
-    and A the coefficients of the normalized rows (clamped rows skip the sum).
+    4 (K_Z - I) Z, and dL/dZ = C Z, so only Z Z^T and C Z read Z, with
+    C = S (A - diag(rowsum(A * K_Z))) S the normalisation's Jacobian folded
+    in, S the row scaling and A the coefficients of the normalized rows
+    (clamped rows skip the sum).
     """
+    kx = input_gram(x)
+    _normalize_gram(kx)
     kz = z @ z.T
-    if normalize:
-        zn, scale = _normalize_gram(kz)
+    zn, scale = _normalize_gram(kz)
     kd = kz - kx
     orth = float((kz * kz).sum() - 2.0 * kz.trace() + z.shape[1])
     match = float((kd * kd).sum()) if use_sphere else 0.0
@@ -95,16 +89,15 @@ def structural_grads(z, kx, lam: float = 0.0, normalize: bool = True,
         coef = coef + 0.5 * (ad + ad.T)
     if lam != 0.0:
         coef = coef + lam * 4.0 * (kz - np.eye(len(kz), dtype=kz.dtype))
-    if normalize:
-        # rows clamped to norm DEFAULT_EPS were scaled by the constant 1/DEFAULT_EPS
-        coef[np.diag_indices_from(coef)] -= np.sum(coef * kz, axis=1) * (zn >= DEFAULT_EPS)
-        coef *= np.outer(scale, scale)
+    # rows clamped to norm DEFAULT_EPS were scaled by the constant 1/DEFAULT_EPS
+    coef[np.diag_indices_from(coef)] -= np.sum(coef * kz, axis=1) * (zn >= DEFAULT_EPS)
+    coef *= np.outer(scale, scale)
     return LossBundle(sphere=match, orth=orth, total=match + lam * orth), coef @ z
 
 
 def raw_sphere_grads(z, kx):
-    """Raw matching loss ||Z Z^T - K_X||_F^2 and dL/dZ = 4 (Z Z^T - K_X) Z: the
-    bits of structural_grads(z, kx, normalize=False)'s sphere slot and dL/dZ."""
+    """Raw matching loss ||Z Z^T - K_X||_F^2 and dL/dZ = 4 (Z Z^T - K_X) Z for
+    the raw K_X of input_gram, in five numpy calls."""
     kd = z @ z.T
     kd -= kx
     dz = kd @ z
@@ -119,7 +112,7 @@ def sphere_grad_linear(x, w) -> np.ndarray:
     w = as_matrix(w)
     if x.shape[1] != w.shape[0]:
         raise NumericsError("shape mismatch: X cols != W rows")
-    _, dy = raw_sphere_grads(x @ w, input_gram(x, normalize=False))
+    _, dy = raw_sphere_grads(x @ w, input_gram(x))
     return x.T @ dy
 
 

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .linalg import NumericsError, SphereError
-from .losses import input_gram, structural_grads
+from .losses import structural_grads
 
 CHUNK = 8  # images per conv pass; only the kernel gradient's rounding depends on it
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "binary_step")
@@ -159,8 +159,7 @@ def maxpool2x2_forward(q, out=None, wins=None):
     """2x2 max-pool of pool-major rows q (4, n, C): the elementwise max of
     the four quarters, (n, C), written into `out` when given.  With a bool
     (4, n, C) array `wins`, also marks each window's first maximum in
-    _WINDOW order there, one True per window and channel.  Returns (out,
-    wins)."""
+    _WINDOW order there, one True per window and channel.  Returns out."""
     out = np.maximum(q[0], q[1], out=out)
     np.maximum(out, q[2], out=out)
     np.maximum(out, q[3], out=out)
@@ -171,7 +170,7 @@ def maxpool2x2_forward(q, out=None, wins=None):
             wins[k] &= unrouted
             unrouted ^= wins[k]
         wins[3] = unrouted
-    return out, wins
+    return out
 
 
 def maxpool2x2_backward(grad_out, wins):
@@ -301,8 +300,8 @@ def _main_forward(f: MainBlock, x, train: bool = True, phi=None):
     pre = np.empty((b * hw, o), dtype) if train else None
     wins = np.empty((4, b * hw, o), dtype=bool) if train else None
     for xc, imgs, rows in _chunks(x, hw):
-        p, _ = maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias),
-                                  *((pre[rows], wins[:, rows]) if train else ()))
+        p = maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias),
+                               *((pre[rows], wins[:, rows]) if train else ()))
         if phi is None:
             out[rows] = _activate(f, p, xc)
         else:
@@ -353,15 +352,15 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     """
     if x.shape[0] < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
-    # K_X from x's rows in memory order: free for a C-contiguous or channels-last x
-    nhwc = x.transpose(0, 2, 3, 1)
-    kx = input_gram((nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1))
     out, (wins, pre) = _main_forward(f, x, phi=phi)
     b, hw, c = len(x), len(pre) // len(x), pre.shape[1]  # hw pooled rows per image
     # Z: without a head the output's pooled rows, flat; with one its fc layer on the means
     z = out.transpose(0, 2, 3, 1).reshape(b, -1) if phi is None else out @ phi.fc_w + phi.fc_b
 
-    bundle, dz = structural_grads(z, kx, lam, use_sphere=use_sphere, use_oja=use_oja)
+    # x's rows in memory order: a free view for a C-contiguous or channels-last x
+    nhwc = x.transpose(0, 2, 3, 1)
+    x_rows = (nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1)
+    bundle, dz = structural_grads(z, x_rows, lam, use_sphere=use_sphere, use_oja=use_oja)
     if phi is None:  # dz is in pooled-row order
         grads, dz = {}, dz.reshape(-1, c)
     else:  # the fc layer's; dz becomes the gradient of the head's means

@@ -347,7 +347,7 @@ def _linear_steps(x, w, lr: float, steps: int):
     # X^T X = R^T R, so the loss and X^T dL/dZ at Z = R W equal those at Z = X W,
     # while each step forms min(B, N)^2 Grams instead of B x B ones
     r = np.linalg.qr(x, mode="r")
-    kr = input_gram(r, normalize=False)
+    kr = input_gram(r)
     opt = AdamW({"w": w}, lr=lr)
     for step in range(steps):
         loss, dz = raw_sphere_grads(r @ w, kr)
@@ -398,7 +398,7 @@ def run_linearity_study(epochs: int, seed: int):
                        fc_w=w2, fc_b=np.zeros(m), activation="tanh")
     nl_opt = AdamW({f"aux.{k}": v for k, v in phi.params().items()}, lr=3e-3)
 
-    kx = input_gram(x, normalize=False)
+    kx = input_gram(x)
     cka_curve = []
     steps_per_epoch = 40
     total = epochs * steps_per_epoch

@@ -476,8 +476,28 @@ class TestArtifacts:
             raise OSError(28, "No space left on device")
         monkeypatch.setattr(cli.os, "replace", failing_replace)
         with pytest.raises(OSError):
-            cli._write_atomic(str(tmp_path / "summary.json"), "{}\n")
-        assert os.listdir(tmp_path) == []  # neither the target nor a .tmp- file
+            cli._write_run(str(tmp_path), {"metrics.jsonl": "\n", "summary.json": "{}\n"})
+        assert os.listdir(tmp_path) == []  # neither a target nor a .tmp- file
+
+    def test_failed_write_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # the second artifact's temp file cannot be made: the first one's temp
+        # goes, and neither --out nor an artifact is left
+        made, mkstemp = [], cli.tempfile.mkstemp
+
+        def full_on_second(*args, **kwargs):
+            made.append(1)
+            if len(made) == 2:
+                raise OSError(28, "No space left on device")
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", full_on_second)
+        out = tmp_path / "new" / "run"
+        assert main(["--out", str(out), "verify-lemma", "--steps", "200"]) == 2
+        record = refusal(capsys, out)
+        assert record["error"] == "ConfigError"
+        assert "No space left" in record["message"]
+        assert len(made) == 2
+        assert os.listdir(tmp_path) == []
 
 
 class TestSeed:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sphere.linalg import DEFAULT_EPS, NumericsError, as_matrix, frob_norm_sq, row_normalize, svd
-from sphere.losses import input_gram
+from sphere.losses import _normalize_gram, input_gram
 
 
 def jacobi_eigh(a, sweeps=100, tol=1e-13):
@@ -107,20 +107,29 @@ class TestSvd:
             assert a.v[np.argmax(np.abs(a.v[:, j])), j] >= 0
 
 
+def gram(x, normalize):
+    """losses.input_gram, row-normalized in place as structural_grads
+    normalizes K_X and K_Z when `normalize`."""
+    k = input_gram(x)
+    if normalize:
+        _normalize_gram(k)
+    return k
+
+
 class TestGram:
     """The package's one batch Gram, losses.input_gram, raw and row-normalized."""
 
     def test_matches_product(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 4))
-        assert np.allclose(input_gram(x, normalize=False), x @ x.T, atol=1e-12)
+        assert np.allclose(gram(x, False), x @ x.T, atol=1e-12)
         xn = row_normalize(x)
-        assert np.allclose(input_gram(x), xn @ xn.T, atol=1e-12)
+        assert np.allclose(gram(x, True), xn @ xn.T, atol=1e-12)
 
     def test_exactly_symmetric(self):
         x = np.random.default_rng(6).standard_normal((50, 30))
         for normalize in (False, True):
-            g = input_gram(x, normalize)
+            g = gram(x, normalize)
             assert np.array_equal(g, g.T), normalize
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -132,14 +141,14 @@ class TestGram:
         m = {"C": a[:50, :30].copy(), "F": np.asfortranarray(a[:50, :30]),
              "strided": a[::2, ::2]}[layout]
         for normalize in (False, True):
-            g = input_gram(m, normalize)
+            g = gram(m, normalize)
             assert g.dtype == dtype
             assert np.array_equal(g, g.T), normalize
 
     def test_psd(self):
         x = np.random.default_rng(7).standard_normal((8, 3))
         for normalize in (False, True):
-            evals, _ = jacobi_eigh(input_gram(x, normalize))
+            evals, _ = jacobi_eigh(gram(x, normalize))
             assert evals.min() > -1e-10, normalize
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from sphere import network as net
 from sphere.linalg import NumericsError
-from sphere.losses import input_gram, structural_grads
+from sphere.losses import structural_grads
 
 
 def conv2d_naive(x, kernel, bias, stride=1, pad=1):
@@ -124,7 +124,8 @@ def pooled_rows(yp):
 
 def pool(q):
     """2x2 max-pool of pool-major rows q with its masks: (pooled, wins)."""
-    return net.maxpool2x2_forward(q, wins=np.empty(q.shape, dtype=bool))
+    wins = np.empty(q.shape, dtype=bool)
+    return net.maxpool2x2_forward(q, wins=wins), wins
 
 
 def im2col_conv(x, kernel, bias, stride, pad):
@@ -218,7 +219,7 @@ class TestConv:
 class TestPooling:
     def test_maxpool_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out, _ = net.maxpool2x2_forward(to_pool_major(x))
+        out = net.maxpool2x2_forward(to_pool_major(x))
         assert np.allclose(out.reshape(2, 2), [[5, 7], [13, 15]])
 
     def test_maxpool_backward_routes_to_argmax(self):
@@ -325,7 +326,7 @@ class TestBlockForward:
         x = rng.standard_normal((2, 3, 6, 6))
         yp, _ = net._main_forward(f, x)
         z = pooled_rows(yp).reshape(2, -1)
-        expected, _ = structural_grads(z, input_gram(x.reshape(2, -1)), lam=0.8)
+        expected, _ = structural_grads(z, x.reshape(2, -1), lam=0.8)
         _, bundle = net.block_backward(f, None, x, lam=0.8)
         assert bundle == expected
 
@@ -355,7 +356,7 @@ def activate_then_pool(f, x, lam=0.8):
         skip = net.avgpool2x2(x)
         n = min(skip.shape[1], p.shape[1])
         yp[:, :n] += skip[:, :n]
-    _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), input_gram(x.reshape(b, -1)), lam)
+    _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), x.reshape(b, -1), lam)
     g = dz.reshape(p.shape)
     dq = net.maxpool2x2_backward(g, wins) * d_act
     # each window's one routed gradient, summed per image, then over images
@@ -442,7 +443,7 @@ def reference_block(f, x, lam):
     pooled, winner = maxpool_first_winner(c)
     yp, d_act = net.activation(f.activation, pooled), derivative(f.activation, pooled)
     b = len(x)
-    _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), input_gram(x.reshape(b, -1)), lam)
+    _, dz = structural_grads(pooled_rows(yp).reshape(b, -1), x.reshape(b, -1), lam)
     dpooled = dz.reshape(yp.transpose(0, 2, 3, 1).shape).transpose(0, 3, 1, 2) * d_act
     da = np.zeros_like(c)
     for idx in np.ndindex(yp.shape):
@@ -492,17 +493,16 @@ def q_routed_block_backward(f, phi, x, lam, head_images=net.CHUNK):
     b, _, h, w = x.shape
     hw = (h // 2) * (w // 2)
     qs = [net.conv_forward(x[i:i + net.CHUNK], f.kernel, f.bias) for i in range(0, b, net.CHUNK)]
-    pre = np.concatenate([net.maxpool2x2_forward(q)[0] for q in qs])
+    pre = np.concatenate([net.maxpool2x2_forward(q) for q in qs])
     rows = pooled_rows(net._main_forward(f, x, train=False)[0])
-    kx = input_gram(x.reshape(b, -1))
     if phi is None:
-        bundle, dz = structural_grads(rows.reshape(b, -1), kx, lam)
+        bundle, dz = structural_grads(rows.reshape(b, -1), x.reshape(b, -1), lam)
         grads, g = {}, dz.reshape(rows.shape)
     else:
         starts = range(0, b, head_images)
         heads = [net._aux_forward(phi, rows[i * hw:(i + head_images) * hw], hw) for i in starts]
         means = np.concatenate([m for m, _ in heads])
-        bundle, dz = structural_grads(means @ phi.fc_w + phi.fc_b, kx, lam)
+        bundle, dz = structural_grads(means @ phi.fc_w + phi.fc_b, x.reshape(b, -1), lam)
         grads, dg = {"aux.fc_w": means.T @ dz, "aux.fc_b": dz.sum(axis=0)}, dz @ phi.fc_w.T
         g = np.concatenate([net._aux_backward(phi, cache, dg[i:i + head_images], hw, grads)
                             for i, (_, cache) in zip(starts, heads)])

@@ -12,7 +12,7 @@ from sphere import trainer
 from sphere.data import (SyntheticSpec, channel_stats, harmonic_spectrum, make_synthetic_images,
                          synth_gaussian, to_float)
 from sphere.linalg import NumericsError
-from sphere.losses import input_gram, sphere_loss, structural_grads
+from sphere.losses import input_gram, sphere_loss
 from sphere.trainer import (AdamW, FrozenBlocksMutatedError, OptimizerError, TrainConfig,
                             TrainingDivergedError, build_blocks, cosine_lr, evaluate_config,
                             features, knn_eval, param_checksum, train_greedy, train_probe)
@@ -378,18 +378,20 @@ class TestTrainLinearBlock:
         assert history[0] == pytest.approx(sphere_loss(x @ w0, x, normalize=False), rel=1e-12)
 
     def test_bit_equal_to_the_structural_grads_loop(self):
-        # the loop as written on the training objective's loss bundle
+        # the loop as written on the raw matching term in the objective's
+        # arithmetic: D = Z Z^T - K_R, the loss sum(D * D), dL/dZ = (4 D) Z
         x = synth_gaussian(SyntheticSpec(b=64, n=32, spectrum=harmonic_spectrum(32), seed=1))
         w, history = trainer.train_linear_block(x, 8, steps=300, seed=1)
         r = np.linalg.qr(x, mode="r")
-        kr = input_gram(r, normalize=False)
+        kr = input_gram(r)
         w_ref = np.linalg.qr(np.random.default_rng(1).standard_normal((32, 8)))[0]
         opt = AdamW({"w": w_ref}, lr=1e-2)
         ref = []
         for step in range(300):
-            bundle, dz = structural_grads(r @ w_ref, kr, normalize=False)
-            opt.step({"w": r.T @ dz}, lr=cosine_lr(step, 300, 1e-2))
-            ref.append(bundle.sphere)
+            z = r @ w_ref
+            kd = z @ z.T - kr
+            opt.step({"w": r.T @ ((4.0 * kd) @ z)}, lr=cosine_lr(step, 300, 1e-2))
+            ref.append(float((kd * kd).sum()))
         assert history == ref
         assert np.array_equal(w, w_ref)
 
