@@ -8,11 +8,12 @@ the type of each field's default; SETTINGS declares the ``data.*`` and
 the directory that ``data.dir``, else SPHERE_DATA_DIR, names; synthetic
 and texture are generated and never read ``data.dir``.
 Each ``cmd_*`` prints its line and returns (exit code, summary payload,
-metrics records or None); ``main`` then writes into ``--out``, manifest last:
+metrics records); ``main`` then writes into ``--out``, manifest last:
 
-  metrics.jsonl  the records, one JSON object per line (train, verify-lemma)
+  metrics.jsonl  the records, one per line (empty but for train, verify-lemma)
   summary.json   the payload with ``schema`` and ``command``; no timestamps,
-                 so runs with identical manifests are byte-identical (64-bit)
+                 so runs with identical manifests are byte-identical (64-bit,
+                 at one BLAS thread count)
   manifest.txt   resolved config, code version, seed (identity of the run)
 
 A run that ends in a SphereError (bad input, a diverged run, an artifact it
@@ -315,7 +316,7 @@ def cmd_gradcheck(args, cfg):
     for r in rows:
         print(f"{r['op']:<32s} {r['max_rel_err']:.3e}")
     passed = bool(worst <= 1e-4)
-    return 0 if passed else 1, {"ops": rows, "worst": worst, "pass": passed}, None
+    return 0 if passed else 1, {"ops": rows, "worst": worst, "pass": passed}, []
 
 
 def cmd_train(args, cfg):
@@ -343,7 +344,7 @@ def cmd_knn(args, cfg):
     blocks, _ = train_greedy(config, xtr, last_input=stage)
     acc = knn_eval(features(blocks[-1:], stage[0]), ytr, features(blocks, xte), yte, k=args.k)
     print(f"knn@{args.k} {acc:.3f}")
-    return 0, {"k": args.k, "test_acc": acc}, None
+    return 0, {"k": args.k, "test_acc": acc}, []
 
 
 def cmd_ablate(args, cfg):
@@ -351,7 +352,7 @@ def cmd_ablate(args, cfg):
     rows = run_ablation(config, xtr, ytr, xte, yte, probe_epochs=cfg["probe.epochs"])
     for r in rows:
         print(f"{r['combo']:<24s} {r['test_acc']:.3f}")
-    return 0, {"rows": rows}, None
+    return 0, {"rows": rows}, []
 
 
 def cmd_transfer(args, cfg):
@@ -363,7 +364,7 @@ def cmd_transfer(args, cfg):
     res = run_transfer(xsrc, xtr, ytr, xte, yte, config, cfg["probe.epochs"])
     print(f"transfer {res['transfer_acc']:.3f}  direct {res['direct_acc']:.3f}  "
           f"gap {res['gap']:.3f}")
-    return 0, res, None
+    return 0, res, []
 
 
 def cmd_linearity(args, cfg):
@@ -374,7 +375,7 @@ def cmd_linearity(args, cfg):
     off = float((align.sum() - np.trace(align)) / (align.size - align.shape[0]))
     print(f"final cka {curve[-1]:.4f}  diag20 {diag:.3f}  offdiag {off:.3f}")
     return 0, {"cka_curve": [float(c) for c in curve], "diag20_mean": diag,
-               "offdiag_mean": off}, None
+               "offdiag_mean": off}, []
 
 
 def cmd_oja_demo(args, cfg):
@@ -391,7 +392,7 @@ def cmd_oja_demo(args, cfg):
         if cos >= 0.99:
             break
     print(f"|cos(w, v1)| = {cos:.4f} after {step + 1} steps")
-    return 0 if cos >= 0.99 else 1, {"steps": step + 1, "abs_cos": cos}, None
+    return 0 if cos >= 0.99 else 1, {"steps": step + 1, "abs_cos": cos}, []
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +461,11 @@ def main(argv=None):
         code, summary, records = args.fn(args, cfg)
         manifest = [f"command = {args.command}", f"seed = {args.seed}",
                     f"version = {_git_describe()}", *(f"{k} = {cfg[k]}" for k in sorted(cfg))]
-        artifacts = {} if records is None else {
-            "metrics.jsonl": "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)}
-        artifacts["summary.json"] = json.dumps({"schema": 1, "command": args.command, **summary},
-                                               indent=1, sort_keys=True) + "\n"
-        artifacts["manifest.txt"] = "\n".join(manifest) + "\n"  # last: it marks a complete run
+        artifacts = {  # the manifest last: it marks a complete run
+            "metrics.jsonl": "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records),
+            "summary.json": json.dumps({"schema": 1, "command": args.command, **summary},
+                                       indent=1, sort_keys=True) + "\n",
+            "manifest.txt": "\n".join(manifest) + "\n"}
         try:
             _write_run(out, artifacts)
         except OSError as exc:

@@ -33,8 +33,11 @@ first maximum in a bool (4, n, O) slice of one batch array, and the chunk's
 float conv output is dropped; the backward pass routes the pooled gradient
 through the masks with one multiply.  A mask takes one byte per conv
 output, a quarter of a float32 output and an eighth of a float64 one (6.3
-against 25.2 MB in a desk block-0 step).  Inference has no backward pass,
-so it marks nothing.
+against 25.2 MB in a desk block-0 step).
+
+Inference: forward runs a frozen stack one CHUNK-image slice at a time
+through every block, into one channels-last output of the last block's
+rows.  It marks no masks and keeps no cache: one chunk's maps at a time.
 
 CHUNK = 8 holds a chunk's float32 rows to 0.9-3.5 MB at the desk widths
 (the whole batch's reach 57 MB), under numpy's 4 MB huge-page threshold;
@@ -286,32 +289,44 @@ def _activate(f: MainBlock, pre, xc):
     return y
 
 
-def _main_forward(f: MainBlock, x, train: bool = True, phi=None):
-    """Output of block f on x, its channels-last (B, O, h, w) map or, with
-    a head phi, each image's head mean (see _aux_forward); and when train
-    is set the cache block_backward reads: (wins, pre), the batch's (4,
-    B*hw, O) max-pool masks and its pooled map, the pre-activation.  With
-    train False the cache is None."""
+def forward(blocks, x):
+    """Output of `blocks` applied in turn to x, the NCHW view of a channels-last
+    array; no cache.  Each CHUNK images of x run the whole stack in turn."""
+    out = None
+    for i in range(0, max(len(x), 1), CHUNK):  # an empty x runs once, for its shape
+        y = x[i:i + CHUNK]
+        for f, _ in blocks:
+            b, _, h, w = y.shape
+            rows = _activate(f, maxpool2x2_forward(conv_forward(y, f.kernel, f.bias)), y)
+            y = rows.reshape(b, h // 2, w // 2, -1).transpose(0, 3, 1, 2)
+        if out is None:
+            out = np.empty((len(x), *y.shape[2:], y.shape[1]), y.dtype)
+        out[i:i + CHUNK] = y.transpose(0, 2, 3, 1)
+    return out.transpose(0, 3, 1, 2)
+
+
+def _main_forward(f: MainBlock, x, phi=None):
+    """Training pass of block f on x: its (B*hw, O) pooled output rows or,
+    with a head phi, each image's head mean (see aux_forward); and the cache
+    block_backward reads, (wins, pre): the batch's (4, B*hw, O) max-pool
+    masks and its pooled map, the pre-activation."""
     b, _, h, w = x.shape
     o = f.kernel.shape[0]
     hw = (h // 2) * (w // 2)  # pooled rows per image
     dtype = np.result_type(x, f.kernel)
     out = np.empty((b * hw, o) if phi is None else (b, phi.fc_w.shape[0]), dtype)
-    pre = np.empty((b * hw, o), dtype) if train else None
-    wins = np.empty((4, b * hw, o), dtype=bool) if train else None
+    pre = np.empty((b * hw, o), dtype)
+    wins = np.empty((4, b * hw, o), dtype=bool)
     for xc, imgs, rows in _chunks(x, hw):
-        p = maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias),
-                               *((pre[rows], wins[:, rows]) if train else ()))
+        p = maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias), pre[rows], wins[:, rows])
         if phi is None:
             out[rows] = _activate(f, p, xc)
         else:
-            out[imgs] = _aux_forward(phi, _activate(f, p, xc), hw)[0]
-    if phi is None:
-        out = out.reshape(b, h // 2, w // 2, o).transpose(0, 3, 1, 2)
-    return out, (wins, pre) if train else None
+            out[imgs] = aux_forward(phi, _activate(f, p, xc), hw)[0]
+    return out, (wins, pre)
 
 
-def _aux_forward(phi: AuxBlock, rows, hw: int):
+def aux_forward(phi: AuxBlock, rows, hw: int):
     """The projection head up to its fc layer on the (n*hw, C) rows of a
     main output, hw rows per image in (b, i, j) order: each image's mean
     (n, C') of the 1x1 conv stack's output, and the cache, each conv's input
@@ -325,8 +340,8 @@ def _aux_forward(phi: AuxBlock, rows, hw: int):
     return rows.reshape(-1, hw, rows.shape[1]).mean(axis=1), conv_caches
 
 
-def _aux_backward(phi: AuxBlock, conv_caches, dg, hw: int, grads: dict):
-    """Reverse pass of _aux_forward for the gradient dg (n, C') of its
+def aux_backward(phi: AuxBlock, conv_caches, dg, hw: int, grads: dict):
+    """Reverse pass of aux_forward for the gradient dg (n, C') of its
     means: sums each conv's gradients into grads, keyed "aux.<name>" as in
     block_params, and returns the gradient of the input rows."""
     # pooling backward: each image's gradient spread over its hw rows
@@ -355,7 +370,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     out, (wins, pre) = _main_forward(f, x, phi=phi)
     b, hw, c = len(x), len(pre) // len(x), pre.shape[1]  # hw pooled rows per image
     # Z: without a head the output's pooled rows, flat; with one its fc layer on the means
-    z = out.transpose(0, 2, 3, 1).reshape(b, -1) if phi is None else out @ phi.fc_w + phi.fc_b
+    z = out.reshape(b, -1) if phi is None else out @ phi.fc_w + phi.fc_b
 
     # x's rows in memory order: a free view for a C-contiguous or channels-last x
     nhwc = x.transpose(0, 2, 3, 1)
@@ -380,8 +395,8 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
         if phi is None:
             g = dz[rows]  # a view of the fresh dz
         else:
-            _, cache = _aux_forward(phi, _activate(f, pre[rows], xc), hw)
-            g = _aux_backward(phi, cache, dz[imgs], hw, grads)
+            _, cache = aux_forward(phi, _activate(f, pre[rows], xc), hw)
+            g = aux_backward(phi, cache, dz[imgs], hw, grads)
         g *= activation_grad(f.activation, pre[rows])  # at the pooled map
         db[imgs] = g.reshape(len(xc), hw, c).sum(axis=1)
         dq = maxpool2x2_backward(g, wins[:, rows])

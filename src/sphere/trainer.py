@@ -184,21 +184,6 @@ def build_blocks(config: TrainConfig, in_channels: int, rng):
     return blocks
 
 
-def _forward(blocks, x):
-    """Output of `blocks` applied in turn to x, the NCHW view of a channels-last
-    array; no cache.  The stack runs over 4 * network.CHUNK images at a time, so
-    each conv sees the same CHUNK images and only one group's maps exist at once."""
-    out, group = None, 4 * net.CHUNK
-    for i in range(0, max(len(x), 1), group):  # an empty x runs once, for its shape
-        y = x[i:i + group]
-        for f, _ in blocks:
-            y, _ = net._main_forward(f, y, train=False)
-        if out is None:
-            out = np.empty((len(x), *y.shape[2:], y.shape[1]), y.dtype)
-        out[i:i + group] = y.transpose(0, 2, 3, 1)
-    return out.transpose(0, 3, 1, 2)
-
-
 def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
     """Train blocks strictly in sequence, each against its own local loss.
 
@@ -220,7 +205,7 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
     for bi, (f, phi) in enumerate(blocks):
         if bi:
             # stage bi's input is the frozen output of block bi-1 on stage bi-1's input
-            feats = _forward(blocks[bi - 1 : bi], feats)
+            feats = net.forward(blocks[bi - 1 : bi], feats)
         params = net.block_params(f, phi)
         opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
         epochs = config.epochs_per_block
@@ -268,9 +253,8 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
 
 def features(blocks, images) -> np.ndarray:
     """Post-pool output of the final block, flattened in NCHW column order
-    (the probe's initial weights pair with these columns).  The blocks run
-    over one group of images at a time (see _forward)."""
-    return _forward(blocks, images).reshape(len(images), -1)
+    (the probe's initial weights pair with these columns)."""
+    return net.forward(blocks, images).reshape(len(images), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +388,18 @@ def run_linearity_study(epochs: int, seed: int):
     total = epochs * steps_per_epoch
     lin_steps = _linear_steps(x, w_lin, 2e-2, total)
     for step in range(total):
-        g, cache = net._aux_forward(phi, x, 1)
+        g, cache = net.aux_forward(phi, x, 1)
         z = g @ phi.fc_w + phi.fc_b
         if step % steps_per_epoch == 0:  # both branches as they enter the epoch
             cka_curve.append(cka(x @ w_lin, z))
         next(lin_steps)
         _, dz = raw_sphere_grads(z, kx)
         grads = {"aux.fc_w": g.T @ dz, "aux.fc_b": dz.sum(axis=0)}
-        net._aux_backward(phi, cache, dz @ phi.fc_w.T, 1, grads)
+        net.aux_backward(phi, cache, dz @ phi.fc_w.T, 1, grads)
         nl_opt.step(grads, lr=cosine_lr(step, total, 3e-3))
 
     z_lin = x @ w_lin
-    z_nl = net._aux_forward(phi, x, 1)[0] @ phi.fc_w + phi.fc_b
+    z_nl = net.aux_forward(phi, x, 1)[0] @ phi.fc_w + phi.fc_b
     cka_curve.append(cka(z_lin, z_nl))
     return cka_curve, svd_alignment(z_lin.T, z_nl.T, k=36)
 
@@ -483,7 +467,7 @@ def run_transfer(source_images, target_train_images, target_train_labels,
     """Blocks trained on the source set, probe on the target; reports the
     gap against training the blocks directly on the target."""
     blocks, _ = train_greedy(config, source_images)
-    stage = _forward(blocks[:-1], np.asarray(target_train_images, dtype=config.np_dtype))
+    stage = net.forward(blocks[:-1], np.asarray(target_train_images, dtype=config.np_dtype))
     _, transfer_acc = probe_blocks(config, blocks, stage, target_train_labels,
                                    target_test_images, target_test_labels, probe_epochs)
     direct = evaluate_config(config, target_train_images, target_train_labels,

@@ -7,9 +7,9 @@ from sphere import network as net
 
 
 class ForwardCounts:
-    """Images that each block's main path runs on outside block_backward,
-    split into the "train" phase (inside a train_greedy call) and the
-    "eval" phase (everything else)."""
+    """Images that each block runs on in network.forward, split into the
+    "train" phase (inside a train_greedy call) and the "eval" phase
+    (everything else).  block_backward never calls network.forward."""
 
     def __init__(self):
         self.images = {"train": {}, "eval": {}}
@@ -22,25 +22,17 @@ class ForwardCounts:
 
 @pytest.fixture
 def forward_counts(monkeypatch):
-    """Counts the images through each block's forward pass, with
-    train_greedy marked where trainer and cli look it up."""
+    """Counts the images through each block of every network.forward call,
+    with train_greedy marked where trainer and cli look it up."""
     counts = ForwardCounts()
-    state = {"phase": "eval", "inside": 0}
-    main_forward, block_backward = net._main_forward, net.block_backward
-    train_greedy = trainer.train_greedy
+    state = {"phase": "eval"}
+    forward, train_greedy = net.forward, trainer.train_greedy
 
-    def counting_forward(f, h, *args, **kwargs):
-        if not state["inside"]:
-            seen = counts.images[state["phase"]]
-            seen[id(f)] = seen.get(id(f), 0) + len(h)
-        return main_forward(f, h, *args, **kwargs)
-
-    def marked_backward(*args, **kwargs):
-        state["inside"] += 1
-        try:
-            return block_backward(*args, **kwargs)
-        finally:
-            state["inside"] -= 1
+    def counting_forward(blocks, x):
+        seen = counts.images[state["phase"]]
+        for f, _ in blocks:
+            seen[id(f)] = seen.get(id(f), 0) + len(x)
+        return forward(blocks, x)
 
     def marked_greedy(*args, **kwargs):
         state["phase"] = "train"
@@ -51,8 +43,7 @@ def forward_counts(monkeypatch):
         counts.blocks.append(out[0])
         return out
 
-    monkeypatch.setattr(net, "_main_forward", counting_forward)
-    monkeypatch.setattr(net, "block_backward", marked_backward)
+    monkeypatch.setattr(net, "forward", counting_forward)
     monkeypatch.setattr(trainer, "train_greedy", marked_greedy)
     monkeypatch.setattr(cli, "train_greedy", marked_greedy)
     return counts

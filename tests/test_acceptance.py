@@ -262,7 +262,7 @@ def test_criterion_7_locality_and_determinism(tmp_path):
     # retrain block 1 further; block 0 must be untouched
     f1, phi1 = blocks[1]
     f0, _ = blocks[0]
-    feats0, _ = net._main_forward(f0, x[:32])
+    feats0 = net.forward([(f0, None)], x[:32])
     opt = AdamW(net.block_params(f1, phi1), lr=1e-3)
     for _ in range(5):
         grads, _ = net.block_backward(f1, phi1, feats0, lam=0.8)

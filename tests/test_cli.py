@@ -568,28 +568,35 @@ SMOKE = {
 }
 
 
-def artifacts(command):
-    """The files a finished run of `command` writes."""
-    logs = {"metrics.jsonl"} if command in ("train", "verify-lemma") else set()
-    return {"manifest.txt", "summary.json"} | logs
+# the files every finished run writes
+ARTIFACTS = {"manifest.txt", "metrics.jsonl", "summary.json"}
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE))
 def test_command_smoke(tmp_path, command):
-    """Exit 0, the artifacts (metrics.jsonl for the commands that log), the
-    command's summary keys, byte-identical float64 reruns."""
+    """Exit 0, the artifacts, the command's summary keys, byte-identical
+    float64 reruns."""
     flags, keys = SMOKE[command]
     summaries = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["--out", str(out), "--seed", "1", *TINY, command, *flags]) == 0
-        assert set(os.listdir(out)) == artifacts(command)
+        assert set(os.listdir(out)) == ARTIFACTS
         summaries.append((out / "summary.json").read_bytes())
     summary = json.loads(summaries[0])
     assert summary["schema"] == 1
     assert summary["command"] == command
     assert set(summary) == {"schema", "command"} | keys
     assert summaries[0] == summaries[1]
+
+
+def test_reused_out_keeps_no_stale_metrics(tmp_path):
+    # knn logs no records, so its run into train's --out leaves an empty metrics.jsonl
+    out = tmp_path / "r"
+    assert main(["--out", str(out), *TINY, "train"]) == 0
+    assert main(["--out", str(out), *TINY, "knn", "--k", "1"]) == 0
+    assert "command = knn\n" in (out / "manifest.txt").read_text()
+    assert (out / "metrics.jsonl").read_text() == ""
 
 
 @pytest.mark.parametrize("use_oja", ["false", "true"])
@@ -599,14 +606,14 @@ def test_head_less_train_at_default_widths(tmp_path, use_oja):
     assert main(["--out", str(out), "--set", "data.n_per_class=2",
                  "--set", "data.n_test_per_class=1", "--set", "train.use_phi=false",
                  "--set", f"train.use_oja={use_oja}", "train", "--probe"]) == 0
-    assert set(os.listdir(out)) == {"manifest.txt", "metrics.jsonl", "summary.json"}
+    assert set(os.listdir(out)) == ARTIFACTS
     assert math.isfinite(json.loads((out / "summary.json").read_text())["final_total"])
 
 
 def test_missed_target_writes_every_artifact(tmp_path):
     out = tmp_path / "r"
     assert main(["--out", str(out), "verify-lemma", "--M", "8", "--steps", "10"]) == 1
-    assert set(os.listdir(out)) == {"manifest.txt", "metrics.jsonl", "summary.json"}
+    assert set(os.listdir(out)) == ARTIFACTS
     summary = json.loads((out / "summary.json").read_text())
     assert summary["command"] == "verify-lemma"
     assert summary["converged"] is False
@@ -754,6 +761,6 @@ def test_seeded_cli_runs_end_cleanly(tmp_path, capsys, monkeypatch):
             assert not out.exists(), argv
         else:
             assert err == "", argv
-            assert set(os.listdir(out)) == artifacts(command), argv
+            assert set(os.listdir(out)) == ARTIFACTS, argv
     assert codes[-1] == 0
     assert {0, 2} <= set(codes[:-1])  # the draws reach both valid and refused runs

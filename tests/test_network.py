@@ -284,8 +284,8 @@ class TestBlockForward:
         f = net.init_main_block(3, 8, rng)
         phi = net.init_aux_block(8, d_proj=16, depth=1, rng=rng)
         x = rng.standard_normal((4, 3, 8, 8))
-        yp, _ = net._main_forward(f, x)
-        g, _ = net._aux_forward(phi, pooled_rows(yp), 16)
+        yp = net.forward([(f, None)], x)
+        g, _ = net.aux_forward(phi, pooled_rows(yp), 16)
         z = g @ phi.fc_w + phi.fc_b
         assert yp.shape == (4, 8, 4, 4)
         assert z.shape == (4, 16)
@@ -301,7 +301,7 @@ class TestBlockForward:
         for k, b in zip(phi.conv_kernels, phi.conv_biases):
             h = net.activation(phi.activation, conv2d_naive(h, k[:, :, None, None], b, pad=0))
         expected = h.mean(axis=(2, 3)) @ phi.fc_w + phi.fc_b
-        g, _ = net._aux_forward(phi, pooled_rows(yp), 16)
+        g, _ = net.aux_forward(phi, pooled_rows(yp), 16)
         assert np.allclose(g @ phi.fc_w + phi.fc_b, expected, atol=1e-12)
 
     @pytest.mark.parametrize("use_skip", [False, True])
@@ -313,7 +313,7 @@ class TestBlockForward:
         f = net.init_main_block(3, 8, rng, use_skip=use_skip)
         x = rng.standard_normal((2, 8, 8, 3))
         x = x.transpose(0, 3, 1, 2) if channels_last_input else x.reshape(2, 3, 8, 8)
-        yp, _ = net._main_forward(f, x)
+        yp = net.forward([(f, None)], x)
         assert yp.shape == (2, 8, 4, 4)
         assert yp.transpose(0, 2, 3, 1).flags.c_contiguous
         # and the kernel is (O, kh, kw, C) in memory: each chunk's GEMM reads it with no copy
@@ -324,7 +324,7 @@ class TestBlockForward:
         rng = np.random.default_rng(9)
         f = net.init_main_block(3, 4, rng)
         x = rng.standard_normal((2, 3, 6, 6))
-        yp, _ = net._main_forward(f, x)
+        yp = net.forward([(f, None)], x)
         z = pooled_rows(yp).reshape(2, -1)
         expected, _ = structural_grads(z, x.reshape(2, -1), lam=0.8)
         _, bundle = net.block_backward(f, None, x, lam=0.8)
@@ -334,10 +334,10 @@ class TestBlockForward:
         rng = np.random.default_rng(10)
         f = net.init_main_block(3, 8, rng, use_skip=True)
         x = rng.standard_normal((2, 3, 8, 8))
-        yp_skip, _ = net._main_forward(f, x)
+        yp_skip = net.forward([(f, None)], x)
         f_noskip = net.MainBlock(kernel=f.kernel, bias=f.bias,
                                  activation=f.activation, use_skip=False)
-        yp_plain, _ = net._main_forward(f_noskip, x)
+        yp_plain = net.forward([(f_noskip, None)], x)
         skip = net.avgpool2x2(x)
         diff = yp_skip - yp_plain
         assert np.allclose(diff[:, :3], skip)
@@ -386,7 +386,7 @@ class TestPoolOrder:
         x = rng.standard_normal((5, 3, 8, 8)).astype(dtype)
         x[0] = 0.0
         expected_yp, expected = activate_then_pool(f, x)
-        yp, _ = net._main_forward(f, x)
+        yp = net.forward([(f, None)], x)
         grads, _ = net.block_backward(f, None, x, lam=0.8)
         assert yp.dtype == dtype
         assert np.array_equal(yp, expected_yp)
@@ -413,11 +413,10 @@ class TestPoolOrder:
     def test_no_cache_forward_matches_training_forward(self, kind, use_skip):
         rng = np.random.default_rng(24)
         f = net.init_main_block(3, 4, rng, activation=kind, use_skip=use_skip)
-        x = rng.standard_normal((3, 3, 8, 8))
-        yp, cache = net._main_forward(f, x)
-        out, no_cache = net._main_forward(f, x, train=False)
-        assert no_cache is None and cache is not None
-        assert np.array_equal(out, yp)
+        x = rng.standard_normal((2 * net.CHUNK + 3, 3, 8, 8))  # two full chunks and a ragged one
+        rows, _ = net._main_forward(f, x)
+        out = net.forward([(f, None)], x)
+        assert np.array_equal(pooled_rows(out), rows)
         assert out.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
@@ -475,7 +474,7 @@ class TestBlockReference:
         for x in (x, rng.integers(-2, 3, size=(2 * net.CHUNK + 3, 2, 6, 8)) * 0.5):
             x[0] = 0.0
             expected_yp, expected = reference_block(f, x, lam=0.8)
-            yp, _ = net._main_forward(f, x)
+            yp = net.forward([(f, None)], x)
             assert np.array_equal(yp, expected_yp)
             grads, _ = net.block_backward(f, None, x, lam=0.8)
             for name, ref in expected.items():
@@ -494,17 +493,17 @@ def q_routed_block_backward(f, phi, x, lam, head_images=net.CHUNK):
     hw = (h // 2) * (w // 2)
     qs = [net.conv_forward(x[i:i + net.CHUNK], f.kernel, f.bias) for i in range(0, b, net.CHUNK)]
     pre = np.concatenate([net.maxpool2x2_forward(q) for q in qs])
-    rows = pooled_rows(net._main_forward(f, x, train=False)[0])
+    rows = pooled_rows(net.forward([(f, None)], x))
     if phi is None:
         bundle, dz = structural_grads(rows.reshape(b, -1), x.reshape(b, -1), lam)
         grads, g = {}, dz.reshape(rows.shape)
     else:
         starts = range(0, b, head_images)
-        heads = [net._aux_forward(phi, rows[i * hw:(i + head_images) * hw], hw) for i in starts]
+        heads = [net.aux_forward(phi, rows[i * hw:(i + head_images) * hw], hw) for i in starts]
         means = np.concatenate([m for m, _ in heads])
         bundle, dz = structural_grads(means @ phi.fc_w + phi.fc_b, x.reshape(b, -1), lam)
         grads, dg = {"aux.fc_w": means.T @ dz, "aux.fc_b": dz.sum(axis=0)}, dz @ phi.fc_w.T
-        g = np.concatenate([net._aux_backward(phi, cache, dg[i:i + head_images], hw, grads)
+        g = np.concatenate([net.aux_backward(phi, cache, dg[i:i + head_images], hw, grads)
                             for i, (_, cache) in zip(starts, heads)])
     g = g * net.activation_grad(f.activation, pre)
     dks, start = [], 0
@@ -640,12 +639,12 @@ class TestBlockBackward:
     @pytest.mark.parametrize("block, bound_mb", [(0, 16), (1, 10), (2, 5)])
     def test_desk_inference_traced_peak(self, block, bound_mb):
         # a forward-only pass over the 130 training images of perfbench's
-        # desk-greedy unit reads 12.8/7.6/3.8 MB; max-pool masks would add
+        # desk-greedy unit reads 9.3/7.8/3.9 MB; max-pool masks would add
         # 6.4/3.2/1.6 MB
         f, _, x = desk_block(block, 130)
         tracemalloc.start()
         try:
-            net._main_forward(f, x, train=False)
+            net.forward([(f, None)], x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -721,5 +720,5 @@ class TestBlockBackward:
         rng = np.random.default_rng(18)
         f = net.init_main_block(8, 4, rng, use_skip=True)
         x = rng.standard_normal((2, 8, 8, 8))
-        yp, _ = net._main_forward(f, x)
+        yp = net.forward([(f, None)], x)
         assert yp.shape == (2, 4, 4, 4)

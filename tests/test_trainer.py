@@ -157,9 +157,8 @@ class TestTrainGreedy:
         sum_before = param_checksum(net.block_params(*blocks[0]))
         f1, phi1 = blocks[1]
         opt = AdamW(net.block_params(f1, phi1), lr=1e-3)
-        feats0 = x
         f0, _ = blocks[0]
-        feats0, _ = net._main_forward(f0, x[:32])
+        feats0 = net.forward([(f0, None)], x[:32])
         for _ in range(3):
             grads, _ = net.block_backward(f1, phi1, feats0, lam=0.8)
             opt.step(grads)
@@ -187,7 +186,7 @@ class TestTrainGreedy:
         blocks, _ = train_greedy(cfg, x, last_input=stage)
         assert len(stage) == 1
         assert stage[0].dtype == cfg.np_dtype
-        assert np.array_equal(stage[0], trainer._forward(blocks[:-1], x))
+        assert np.array_equal(stage[0], net.forward(blocks[:-1], x))
         assert np.array_equal(features(blocks[-1:], stage[0]), features(blocks, x))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -247,10 +246,11 @@ class TestTrainGreedy:
         conv = 64 * 16 * 16 * 16 * 8   # conv output
         assert peak < rows + 2 * conv
 
-    def test_features_run_the_stack_one_group_at_a_time(self):
+    def test_features_run_the_stack_one_chunk_at_a_time(self):
         # 256 float64 images at the default widths: the output and its flat
-        # copy take 6.3 MB each, one group of 4 * CHUNK images' maps about
-        # 7 MB.  Running each block over all the images first read 50.3 MB
+        # copy take 6.3 MB each, one chunk's rows and maps about 3 MB; this
+        # reads 15.8 MB.  Groups of 4 * CHUNK images read 20.1 MB, and
+        # running each block over all the images first 50.3 MB
         blocks = build_blocks(TrainConfig(), 3, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((256, 3, 32, 32))
         tracemalloc.start()
@@ -259,7 +259,7 @@ class TestTrainGreedy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 30e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak < 18e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestEvaluateConfig:
@@ -320,7 +320,7 @@ class TestEvaluateConfig:
         cfg = TrainConfig(seed=3, channels=channels, epochs=len(channels), batch_size=16,
                           d_proj=8, dtype=dtype)
         blocks, _ = train_greedy(cfg, x)
-        got = trainer.probe_blocks(cfg, blocks, trainer._forward(blocks[:-1], x), y, xte, yte, 3)
+        got = trainer.probe_blocks(cfg, blocks, net.forward(blocks[:-1], x), y, xte, yte, 3)
         want = train_probe(features(blocks, x), y, features(blocks, xte), yte, epochs=3,
                            seed=cfg.seed)
         assert got == want
@@ -351,13 +351,13 @@ class TestTrainLinearBlock:
     def test_linearity_study_forwards_its_head_once_per_step(self, monkeypatch):
         # 80 steps and one final forward; each epoch's CKA point reuses its step's forward
         calls = []
-        real = net._aux_forward
+        real = net.aux_forward
 
         def spy(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(net, "_aux_forward", spy)
+        monkeypatch.setattr(net, "aux_forward", spy)
         curve, _ = trainer.run_linearity_study(epochs=2, seed=0)
         assert len(calls) == 81
         assert len(curve) == 3
