@@ -102,16 +102,18 @@ def serialize_cifar10(ds: Dataset) -> bytes:
 
 def channel_stats(ds: Dataset):
     """Per-channel mean/std of pixels scaled to [0,1] (train-split stats)."""
-    x = ds.images.astype(np.float64) / 255.0
+    x = ds.images.astype(np.float64)
+    x /= 255.0
     return x.mean(axis=(0, 2, 3)), x.std(axis=(0, 2, 3))
 
 
 def to_float(ds: Dataset, mean, std, dtype=np.float64) -> np.ndarray:
-    """Scale pixels to [0,1] then standardize per channel."""
-    x = ds.images.astype(dtype) / 255.0
-    mean = np.asarray(mean, dtype=dtype)[None, :, None, None]
-    std = np.asarray(std, dtype=dtype)[None, :, None, None]
-    return (x - mean) / std
+    """Scale pixels to [0,1] then standardize per channel, in place."""
+    x = ds.images.astype(dtype)
+    x /= 255.0
+    x -= np.asarray(mean, dtype=dtype)[None, :, None, None]
+    x /= np.asarray(std, dtype=dtype)[None, :, None, None]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ quarter of the elements.
 
 Gradients are fully manual reverse-mode and never leave the block: the
 input gradient is not produced, and the detached skip path contributes no
-gradient at all.  A step keeps three arrays at batch size: the pooled
-pre-activation, the max-pool masks and Z.  A chunk's output rows, and with
-a head its 1x1 convs and mean, exist one chunk at a time, and the backward
-pass recomputes them from the pre-activation; the head's fc layer runs
-once, on the batch's means.
+gradient at all.  A step reads its batch's images from the stage input by
+index, a chunk at a time, and keeps three arrays at batch size: the pooled
+pre-activation, the max-pool masks and Z.  The batch's rows exist only
+while K_X is formed.  A chunk's output rows, and with a head its 1x1 convs
+and mean, are recomputed from the pre-activation in the backward pass; the
+head's fc layer runs once, on the batch's means.
 
 Memory layout: feature maps between blocks have the logical NCHW shape
 (B, C, H, W) but are channels-last (NHWC) in memory, i.e. NCHW views of
@@ -37,7 +38,7 @@ against 25.2 MB in a desk block-0 step).
 
 Inference: forward runs a frozen stack one CHUNK-image slice at a time
 through every block, into one channels-last output of the last block's
-rows.  It marks no masks and keeps no cache: one chunk's maps at a time.
+rows, with no masks and no cache.
 
 CHUNK = 8 holds a chunk's float32 rows to 0.9-3.5 MB at the desk widths
 (the whole batch's reach 57 MB), under numpy's 4 MB huge-page threshold;
@@ -265,11 +266,13 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
     )
 
 
-def _chunks(x, n):
-    """(images, their slice, their rows) of each CHUNK images of x, n rows each."""
-    for i in range(0, len(x), CHUNK):
-        xc = x[i:i + CHUNK]
-        yield xc, slice(i, i + len(xc)), slice(n * i, n * (i + len(xc)))
+def _chunks(x, n, idx=None):
+    """(images, their slice, their rows) of each CHUNK images of the batch
+    x[idx] (all of x when idx is None), n rows each, gathered one at a time."""
+    b = len(x) if idx is None else len(idx)
+    for i in range(0, b, CHUNK):
+        imgs = slice(i, min(i + CHUNK, b))
+        yield x[imgs] if idx is None else x[idx[imgs]], imgs, slice(n * imgs.start, n * imgs.stop)
 
 
 def _add(grads, name, g):
@@ -289,6 +292,11 @@ def _activate(f: MainBlock, pre, xc):
     return y
 
 
+def _chunk_forward(f: MainBlock, xc, pre=None, wins=None):
+    """f's fresh output rows on chunk xc: conv, max-pool (into pre, marking wins), activation."""
+    return _activate(f, maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias), pre, wins), xc)
+
+
 def forward(blocks, x):
     """Output of `blocks` applied in turn to x, the NCHW view of a channels-last
     array; no cache.  Each CHUNK images of x run the whole stack in turn."""
@@ -297,32 +305,31 @@ def forward(blocks, x):
         y = x[i:i + CHUNK]
         for f, _ in blocks:
             b, _, h, w = y.shape
-            rows = _activate(f, maxpool2x2_forward(conv_forward(y, f.kernel, f.bias)), y)
-            y = rows.reshape(b, h // 2, w // 2, -1).transpose(0, 3, 1, 2)
+            y = _chunk_forward(f, y).reshape(b, h // 2, w // 2, -1).transpose(0, 3, 1, 2)
         if out is None:
             out = np.empty((len(x), *y.shape[2:], y.shape[1]), y.dtype)
         out[i:i + CHUNK] = y.transpose(0, 2, 3, 1)
     return out.transpose(0, 3, 1, 2)
 
 
-def _main_forward(f: MainBlock, x, phi=None):
-    """Training pass of block f on x: its (B*hw, O) pooled output rows or,
-    with a head phi, each image's head mean (see aux_forward); and the cache
-    block_backward reads, (wins, pre): the batch's (4, B*hw, O) max-pool
-    masks and its pooled map, the pre-activation."""
-    b, _, h, w = x.shape
+def _main_forward(f: MainBlock, x, phi=None, idx=None):
+    """Training pass of block f on the batch x[idx] (all of x when idx is
+    None): its (B*hw, O) pooled output rows or, with a head phi, each image's
+    head mean (see aux_forward); and the cache (wins, pre): the batch's (4,
+    B*hw, O) max-pool masks and its pooled map, the pre-activation."""
+    b, (h, w) = len(x) if idx is None else len(idx), x.shape[2:]
     o = f.kernel.shape[0]
     hw = (h // 2) * (w // 2)  # pooled rows per image
     dtype = np.result_type(x, f.kernel)
     out = np.empty((b * hw, o) if phi is None else (b, phi.fc_w.shape[0]), dtype)
     pre = np.empty((b * hw, o), dtype)
     wins = np.empty((4, b * hw, o), dtype=bool)
-    for xc, imgs, rows in _chunks(x, hw):
-        p = maxpool2x2_forward(conv_forward(xc, f.kernel, f.bias), pre[rows], wins[:, rows])
+    for xc, imgs, rows in _chunks(x, hw, idx):
+        y = _chunk_forward(f, xc, pre[rows], wins[:, rows])
         if phi is None:
-            out[rows] = _activate(f, p, xc)
+            out[rows] = y
         else:
-            out[imgs] = aux_forward(phi, _activate(f, p, xc), hw)[0]
+            out[imgs] = aux_forward(phi, y, hw)[0]
     return out, (wins, pre)
 
 
@@ -356,26 +363,30 @@ def aux_backward(phi: AuxBlock, conv_caches, dg, hw: int, grads: dict):
 
 
 def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
-                   use_oja: bool = False):
+                   use_oja: bool = False, *, idx=None):
     """Compute the block-local loss on (Z, block input) and reverse-mode
-    gradients for every parameter of f and phi.
+    gradients for every parameter of f and phi, on the batch x[idx] of the
+    stage input x (all of x when idx is None).
 
     Returns (grads, bundle) where grads maps "main.<name>" / "aux.<name>"
     to arrays shaped like the parameters.  No input gradient is produced.
-    Only pre, wins and Z are batch-sized: the backward pass recomputes each
-    chunk's output rows and head activations from pre.
+    Each chunk reads its images from x by index, and the batch's rows exist
+    only while K_X is formed.  Only pre, wins and Z are batch-sized: the
+    backward pass recomputes each chunk's output rows and head activations.
     """
-    if x.shape[0] < 2:
+    b = len(x) if idx is None else len(idx)
+    if b < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
-    out, (wins, pre) = _main_forward(f, x, phi=phi)
-    b, hw, c = len(x), len(pre) // len(x), pre.shape[1]  # hw pooled rows per image
+    out, (wins, pre) = _main_forward(f, x, phi=phi, idx=idx)
+    hw, c = len(pre) // b, pre.shape[1]  # hw pooled rows per image
     # Z: without a head the output's pooled rows, flat; with one its fc layer on the means
     z = out.reshape(b, -1) if phi is None else out @ phi.fc_w + phi.fc_b
 
-    # x's rows in memory order: a free view for a C-contiguous or channels-last x
-    nhwc = x.transpose(0, 2, 3, 1)
-    x_rows = (nhwc if nhwc.flags.c_contiguous else x).reshape(len(x), -1)
-    bundle, dz = structural_grads(z, x_rows, lam, use_sphere=use_sphere, use_oja=use_oja)
+    xb = x if idx is None else x[idx]  # the batch, gathered for K_X only and dropped after
+    nhwc = xb.transpose(0, 2, 3, 1)  # its rows in memory order: a view if C- or channels-last
+    bundle, dz = structural_grads(z, (nhwc if nhwc.flags.c_contiguous else xb).reshape(b, -1),
+                                  lam, use_sphere=use_sphere, use_oja=use_oja)
+    del xb, nhwc
     if phi is None:  # dz is in pooled-row order
         grads, dz = {}, dz.reshape(-1, c)
     else:  # the fc layer's; dz becomes the gradient of the head's means
@@ -391,7 +402,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     # chunk's GEMM on its rebuilt im2col rows.
     kh, kw = f.kernel.shape[2:]
     db = np.empty((b, c), pre.dtype)  # per image
-    for xc, imgs, rows in _chunks(x, hw):
+    for xc, imgs, rows in _chunks(x, hw, idx):
         if phi is None:
             g = dz[rows]  # a view of the fresh dz
         else:

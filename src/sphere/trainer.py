@@ -223,8 +223,8 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
                 try:
                     with np.errstate(over="raise", invalid="raise", divide="raise"):
                         grads, bundle = net.block_backward(
-                            f, phi, feats[idx], lam,
-                            use_sphere=config.use_sphere, use_oja=config.use_oja)
+                            f, phi, feats, lam,
+                            use_sphere=config.use_sphere, use_oja=config.use_oja, idx=idx)
                         if not math.isfinite(bundle.total):
                             raise TrainingDivergedError(f"non-finite loss at block {bi}, step {step}")
                         opt.step(grads, lr=cosine_lr(step, total_steps, config.lr))
@@ -261,6 +261,7 @@ def features(blocks, images) -> np.ndarray:
 # supervised probe and KNN on frozen features
 
 PROBE_EPOCHS = 20  # of the linear probe, unless the probe.epochs setting says otherwise
+KNN_ROWS = 64  # test rows knn_eval ranks at a time: a block's -sims and order, not the whole's
 
 
 def _softmax(logits):
@@ -308,15 +309,13 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k: int = 5) -> 
     tr = train_feats / (np.linalg.norm(train_feats, axis=1, keepdims=True) + 1e-12)
     te = test_feats / (np.linalg.norm(test_feats, axis=1, keepdims=True) + 1e-12)
     sims = te @ tr.T
-    nn = np.argsort(-sims, axis=1)[:, :k]
     correct = 0
-    for i in range(len(te)):
-        labs = train_labels[nn[i]]
-        counts = np.bincount(labs)
-        best = counts.max()
-        tied = np.nonzero(counts == best)[0]
-        pred = next(l for l in labs if l in tied)
-        correct += pred == test_labels[i]
+    for i in range(0, len(te), KNN_ROWS):  # argsort ranks each row alone
+        nn = np.argsort(-sims[i:i + KNN_ROWS], axis=1)[:, :k]
+        for labs, label in zip(train_labels[nn], test_labels[i:i + KNN_ROWS]):
+            counts = np.bincount(labs)
+            tied = np.nonzero(counts == counts.max())[0]
+            correct += next(l for l in labs if l in tied) == label
     return correct / len(te)
 
 

@@ -636,6 +636,41 @@ class TestBlockBackward:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
 
+    @pytest.mark.parametrize("block, bound_mb", [(0, 17.8), (1, 15.5), (2, 9)])
+    def test_desk_indexed_step_traced_peak(self, block, bound_mb):
+        # one float32 desk step on 128 of a 130-image stage, counting its
+        # batch input: read from the stage by index it reads 17.1/13.1/7.6
+        # MB; with the batch copied first, as x[idx], 18.5/18.4/10.5 MB
+        f, phi, x = desk_block(block, 130)
+        idx = np.random.default_rng(1).permutation(130)[:128]
+        tracemalloc.start()
+        try:
+            net.block_backward(f, phi, x, lam=0.8, idx=idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["c-contiguous", "channels-last"])
+    @pytest.mark.parametrize("use_oja", [False, True], ids=["sphere", "sphere+oja"])
+    @pytest.mark.parametrize("depth", [None, 1], ids=["no-head", "head"])
+    def test_indexed_step_matches_copied_batch(self, depth, use_oja, channels_last):
+        # the step reads its 19 images (two full chunks and a ragged one)
+        # out of a 23-image stage by index: the same bytes as on the copy
+        # x[idx].  The skip path reads each chunk's images too
+        rng = np.random.default_rng(31)
+        f = net.init_main_block(3, 8, rng, use_skip=True)
+        phi = None if depth is None else net.init_aux_block(8, 12, depth, rng)
+        x = rng.standard_normal((23, 8, 8, 3)).transpose(0, 3, 1, 2)
+        x = x if channels_last else np.ascontiguousarray(x)
+        idx = rng.permutation(len(x))[:2 * net.CHUNK + 3]
+        grads, bundle = net.block_backward(f, phi, x, 0.8, use_oja=use_oja, idx=idx)
+        want_grads, want = net.block_backward(f, phi, x[idx], 0.8, use_oja=use_oja)
+        assert bundle == want
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
     @pytest.mark.parametrize("block, bound_mb", [(0, 16), (1, 10), (2, 5)])
     def test_desk_inference_traced_peak(self, block, bound_mb):
         # a forward-only pass over the 130 training images of perfbench's

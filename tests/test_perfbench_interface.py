@@ -152,6 +152,41 @@ def test_tracer_times_every_block_over_several_chunks(monkeypatch):
             assert metrics[f"network.{kernel}.b{b}.ms"] > 0, (kernel, b)
 
 
+def test_tracer_times_every_block_over_an_indexed_batch(monkeypatch):
+    # each step reads a 17-image batch (two full chunks and a ragged one)
+    # out of a 19-image stage by index, the 2 left over dropped: the
+    # block_backward annotator reads H, W and the itemsize from the stage
+    # it is handed, so without a head the orth Gram count, M^2 * itemsize
+    # per step with M = C * H/2 * W/2, must be the batch's all the same
+    spans = _load("spans")
+    tracer = spans.Tracer("test")
+    x = np.random.default_rng(0).standard_normal((2 * net.CHUNK + 3, 3, 8, 8))
+    config = trainer.TrainConfig(channels=(2, 2, 2), epochs=3, batch_size=2 * net.CHUNK + 1,
+                                 use_phi=False)
+    flops = []
+    conv_forward = net.conv_forward
+
+    def counting_conv_forward(x, kernel, bias, **kw):
+        (b, c, h, w), o = x.shape, kernel.shape[0]
+        flops.append(2 * b * h * w * o * c * 9)
+        return conv_forward(x, kernel, bias, **kw)
+
+    monkeypatch.setattr(net, "conv_forward", counting_conv_forward)
+    tracer.install()
+    try:
+        trainer.train_greedy(config, x)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.names, tracer.arrays())
+    assert len(flops) == 3 * 3 + 2 * 3  # a step per block, and two re-forwards, of 3 chunks
+    assert metrics["network.conv_forward.gflop"] == sum(flops) / 1e9
+    m = [2 * (4 >> b) ** 2 for b in range(3)]  # one step per block, Z 32, 8 and 2 wide
+    assert metrics["network.orth_gram.mbytes"] == sum(v * v * x.itemsize for v in m) / 1e6
+    for b in range(spans.N_BLOCKS):
+        for kernel in ("im2col", "conv_backward", "maxpool2x2_backward"):
+            assert metrics[f"network.{kernel}.b{b}.ms"] > 0, (kernel, b)
+
+
 @pytest.mark.parametrize("workload", [["desk-greedy"], ["ablate-wide"],
                                       ["lemma-linear", "--variant", "8"]],
                          ids=lambda w: w[0])

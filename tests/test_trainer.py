@@ -203,6 +203,25 @@ class TestTrainGreedy:
         parts = [features(blocks, x[i:j]) for i, j in zip(edges, edges[1:])]
         assert np.concatenate(parts).tobytes() == features(blocks, x).tobytes()
 
+    def test_step_reads_the_stage_by_index(self, monkeypatch):
+        # each step gets the stage array itself and its batch's indices, not
+        # a copy of the batch: 21 images in batches of 8, the last 5 dropped
+        calls = []
+        block_backward = net.block_backward
+
+        def recording_backward(f, phi, x, *args, idx=None, **kwargs):
+            calls.append((x, idx))
+            return block_backward(f, phi, x, *args, idx=idx, **kwargs)
+
+        monkeypatch.setattr(net, "block_backward", recording_backward)
+        x = np.random.default_rng(0).standard_normal((21, 3, 8, 8))
+        stage = []
+        train_greedy(TrainConfig(channels=(4, 4), epochs=2, batch_size=8, d_proj=4), x,
+                     last_input=stage)
+        assert len(calls) == 4  # two steps per block
+        assert all(s is x for s, _ in calls[:2]) and all(s is stage[0] for s, _ in calls[2:])
+        assert [len(idx) for _, idx in calls] == [8] * 4
+
     def test_unhalvable_image_size_refused_before_training(self, monkeypatch):
         # six 2x2 max-pools need sides divisible by 64; 32x32 images allow five
         calls = []
@@ -458,6 +477,45 @@ class TestKnn:
         with pytest.raises(NumericsError):
             knn_eval(np.ones((3, 2)), np.zeros(3, dtype=int),
                      np.ones((1, 2)), np.zeros(1, dtype=int), k=4)
+
+    @staticmethod
+    def tied_features():
+        """Train and test features with entries in {-1, 0, 1}, and their 300
+        x 500 cosine similarities as knn_eval forms them: 144k ties."""
+        rng = np.random.default_rng(9)
+        tr = rng.integers(-1, 2, (500, 4)).astype(float)
+        te = rng.integers(-1, 2, (300, 4)).astype(float)
+        te[te.sum(axis=1) == 0] = 1.0
+        tr_unit, te_unit = (f / (np.linalg.norm(f, axis=1, keepdims=True) + 1e-12)
+                            for f in (tr, te))
+        return tr, te, te_unit @ tr_unit.T
+
+    def test_blocks_rank_as_the_whole_matrix(self):
+        # knn_eval ranks KNN_ROWS test rows at a time; its votes equal those
+        # of the whole matrix ranked at once, ties included.  With a label
+        # per training row and k=1 each vote is the nearest neighbour itself
+        tr, te, sims = self.tied_features()
+        ranked = np.argsort(-sims, axis=1)
+        stable = np.argsort(-sims, axis=1, kind="stable")
+        assert (ranked[:, 0] != stable[:, 0]).any()  # another tie order shows
+        for labels, k in ((np.arange(500), 1), (np.random.default_rng(2).integers(0, 3, 500), 5)):
+            votes = []
+            for labs in labels[ranked[:, :k]]:
+                counts = np.bincount(labs)
+                votes.append(next(l for l in labs if l in np.nonzero(counts == counts.max())[0]))
+            assert knn_eval(tr, labels, te, np.array(votes), k=k) == 1.0
+
+    def test_ranking_holds_a_block_of_rows(self):
+        # the 300 x 500 float64 similarities take 1.2 MB; ranked in blocks
+        # the call reads 2.0 MB, ranked whole (-sims and argsort) 3.6 MB
+        tr, te, _ = self.tied_features()
+        tracemalloc.start()
+        try:
+            knn_eval(tr, np.arange(500), te, np.zeros(300, dtype=int), k=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 300 * 500 * 8, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_cosine_scale_invariance(self):
         rng = np.random.default_rng(5)
