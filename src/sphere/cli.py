@@ -172,8 +172,8 @@ def _nearest_existing(path: str) -> str:
 
 def _write_run(out: str, artifacts: dict) -> None:
     """Write each text of `artifacts` to a temp file in the nearest existing
-    directory at or above `out`, then make `out` and rename the temps into
-    it in order; on failure, unlink the temps not yet renamed."""
+    directory at or above `out`, then make `out`, drop the last one's old copy
+    and rename the temps into it in order; on failure, unlink those left."""
     tmps = {}  # artifact name -> its temp file, until renamed
     try:
         for name, text in artifacts.items():
@@ -181,6 +181,9 @@ def _write_run(out: str, artifacts: dict) -> None:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
         os.makedirs(out, exist_ok=True)
+        last = os.path.join(out, [*artifacts][-1])  # no old manifest vouches for new files
+        if os.path.lexists(last):
+            os.unlink(last)
         for name in artifacts:
             os.replace(tmps[name], os.path.join(out, name))
             del tmps[name]

@@ -10,11 +10,12 @@ quarter of the elements.
 Gradients are fully manual reverse-mode and never leave the block: the
 input gradient is not produced, and the detached skip path contributes no
 gradient at all.  A step reads its batch's images from the stage input by
-index, a chunk at a time, and keeps three arrays at batch size: the pooled
-pre-activation, the max-pool masks and Z.  The batch's rows exist only
-while K_X is formed.  A chunk's output rows, and with a head its 1x1 convs
-and mean, are recomputed from the pre-activation in the backward pass; the
-head's fc layer runs once, on the batch's means.
+index, a chunk at a time (a whole-stage batch is the identity index), and
+keeps three arrays at batch size: the pooled pre-activation, the max-pool
+masks and Z.  The batch's rows exist only while K_X is formed.  A chunk's
+output rows, and with a head its 1x1 convs and mean, are recomputed from
+the pre-activation in the backward pass; the head's fc layer runs once, on
+the batch's means.
 
 Memory layout: feature maps between blocks have the logical NCHW shape
 (B, C, H, W) but are channels-last (NHWC) in memory, i.e. NCHW views of
@@ -102,18 +103,15 @@ def activation_grad(kind: str, x: np.ndarray):
 # convolution via im2col
 
 
-def _out_hw(h, w, kh, kw, stride, pad):
-    return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-
-
 def im2col(x, kh, kw, stride, pad):
     """Pool-major patch rows of x (B,C,H,W): (4, n, kh*kw*C) with n =
     B*OH/2*OW/2.  Row r of quarter k is the patch of output position
     (2i+di, 2j+dj), where (b, i, j) is r's place in the pooled map and
-    (di, dj) = _WINDOW[k]; columns are in (kh, kw, C) order.  One copy from
-    one strided view of the channels-last padded input."""
+    (di, dj) is the k-th of (0,0), (0,1), (1,0), (1,1); columns are in (kh,
+    kw, C) order.  One copy from one strided view of the channels-last
+    padded input."""
     b, c, h, w = x.shape
-    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
     if oh % 2 or ow % 2:
         raise NumericsError(f"2x2 pooling needs an even conv output, got {oh}x{ow}")
     xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), x.dtype)
@@ -155,15 +153,12 @@ def conv_backward(dq, cache):
 # pooling
 
 
-# the four positions of a 2x2 window, in tie-breaking order
-_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def maxpool2x2_forward(q, out=None, wins=None):
     """2x2 max-pool of pool-major rows q (4, n, C): the elementwise max of
     the four quarters, (n, C), written into `out` when given.  With a bool
     (4, n, C) array `wins`, also marks each window's first maximum in
-    _WINDOW order there, one True per window and channel.  Returns out."""
+    (0,0), (0,1), (1,0), (1,1) order there, one True per window and
+    channel.  Returns out."""
     out = np.maximum(q[0], q[1], out=out)
     np.maximum(out, q[2], out=out)
     np.maximum(out, q[3], out=out)
@@ -266,13 +261,12 @@ def init_aux_block(in_ch, d_proj, depth, rng, activation="leaky_relu", dtype=np.
     )
 
 
-def _chunks(x, n, idx=None):
+def _chunks(x, n, idx):
     """(images, their slice, their rows) of each CHUNK images of the batch
-    x[idx] (all of x when idx is None), n rows each, gathered one at a time."""
-    b = len(x) if idx is None else len(idx)
-    for i in range(0, b, CHUNK):
-        imgs = slice(i, min(i + CHUNK, b))
-        yield x[imgs] if idx is None else x[idx[imgs]], imgs, slice(n * imgs.start, n * imgs.stop)
+    x[idx], n rows each, gathered one at a time."""
+    for i in range(0, len(idx), CHUNK):
+        imgs = slice(i, min(i + CHUNK, len(idx)))
+        yield x[idx[imgs]], imgs, slice(n * imgs.start, n * imgs.stop)
 
 
 def _add(grads, name, g):
@@ -312,27 +306,6 @@ def forward(blocks, x):
     return out.transpose(0, 3, 1, 2)
 
 
-def _main_forward(f: MainBlock, x, phi=None, idx=None):
-    """Training pass of block f on the batch x[idx] (all of x when idx is
-    None): its (B*hw, O) pooled output rows or, with a head phi, each image's
-    head mean (see aux_forward); and the cache (wins, pre): the batch's (4,
-    B*hw, O) max-pool masks and its pooled map, the pre-activation."""
-    b, (h, w) = len(x) if idx is None else len(idx), x.shape[2:]
-    o = f.kernel.shape[0]
-    hw = (h // 2) * (w // 2)  # pooled rows per image
-    dtype = np.result_type(x, f.kernel)
-    out = np.empty((b * hw, o) if phi is None else (b, phi.fc_w.shape[0]), dtype)
-    pre = np.empty((b * hw, o), dtype)
-    wins = np.empty((4, b * hw, o), dtype=bool)
-    for xc, imgs, rows in _chunks(x, hw, idx):
-        y = _chunk_forward(f, xc, pre[rows], wins[:, rows])
-        if phi is None:
-            out[rows] = y
-        else:
-            out[imgs] = aux_forward(phi, y, hw)[0]
-    return out, (wins, pre)
-
-
 def aux_forward(phi: AuxBlock, rows, hw: int):
     """The projection head up to its fc layer on the (n*hw, C) rows of a
     main output, hw rows per image in (b, i, j) order: each image's mean
@@ -366,29 +339,40 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
                    use_oja: bool = False, *, idx=None):
     """Compute the block-local loss on (Z, block input) and reverse-mode
     gradients for every parameter of f and phi, on the batch x[idx] of the
-    stage input x (all of x when idx is None).
+    stage input x; idx=None is the identity index, all of x.
 
     Returns (grads, bundle) where grads maps "main.<name>" / "aux.<name>"
-    to arrays shaped like the parameters.  No input gradient is produced.
-    Each chunk reads its images from x by index, and the batch's rows exist
-    only while K_X is formed.  Only pre, wins and Z are batch-sized: the
-    backward pass recomputes each chunk's output rows and head activations.
-    """
-    b = len(x) if idx is None else len(idx)
+    to arrays shaped like the parameters; no input gradient.  Each chunk
+    of x[idx] runs _chunk_forward, as in forward, into the batch's pooled
+    pre-activation and masks, then yields its output rows or, with a head,
+    its images' head means (see aux_forward).  The batch's rows exist only
+    while K_X is formed; the backward pass recomputes each chunk's output
+    rows and head activations."""
+    idx = np.arange(len(x)) if idx is None else idx
+    b, (h, w), o = len(idx), x.shape[2:], f.kernel.shape[0]
     if b < 2:
         raise NumericsError("structural loss needs a batch of at least 2")
-    out, (wins, pre) = _main_forward(f, x, phi=phi, idx=idx)
-    hw, c = len(pre) // b, pre.shape[1]  # hw pooled rows per image
+    hw = (h // 2) * (w // 2)  # pooled rows per image
+    dtype = np.result_type(x, f.kernel)
+    pre, wins = np.empty((b * hw, o), dtype), np.empty((4, b * hw, o), dtype=bool)
+    out = np.empty((b * hw, o) if phi is None else (b, phi.fc_w.shape[0]), dtype)
+    for xc, imgs, rows in _chunks(x, hw, idx):
+        y = _chunk_forward(f, xc, pre[rows], wins[:, rows])
+        if phi is None:
+            out[rows] = y
+        else:
+            out[imgs] = aux_forward(phi, y, hw)[0]
+    del xc, y  # else the last chunk's images and rows live through the backward pass
     # Z: without a head the output's pooled rows, flat; with one its fc layer on the means
     z = out.reshape(b, -1) if phi is None else out @ phi.fc_w + phi.fc_b
 
-    xb = x if idx is None else x[idx]  # the batch, gathered for K_X only and dropped after
+    xb = x[idx]  # the batch, gathered for K_X only and dropped after
     nhwc = xb.transpose(0, 2, 3, 1)  # its rows in memory order: a view if C- or channels-last
     bundle, dz = structural_grads(z, (nhwc if nhwc.flags.c_contiguous else xb).reshape(b, -1),
                                   lam, use_sphere=use_sphere, use_oja=use_oja)
     del xb, nhwc
     if phi is None:  # dz is in pooled-row order
-        grads, dz = {}, dz.reshape(-1, c)
+        grads, dz = {}, dz.reshape(-1, o)
     else:  # the fc layer's; dz becomes the gradient of the head's means
         grads = {"aux.fc_w": out.T @ dz, "aux.fc_b": dz.sum(axis=0)}
         dz = dz @ phi.fc_w.T
@@ -401,7 +385,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
     # more accurate in float32.  The kernel gradient is the sum of each
     # chunk's GEMM on its rebuilt im2col rows.
     kh, kw = f.kernel.shape[2:]
-    db = np.empty((b, c), pre.dtype)  # per image
+    db = np.empty((b, o), dtype)  # per image
     for xc, imgs, rows in _chunks(x, hw, idx):
         if phi is None:
             g = dz[rows]  # a view of the fresh dz
@@ -409,7 +393,7 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
             _, cache = aux_forward(phi, _activate(f, pre[rows], xc), hw)
             g = aux_backward(phi, cache, dz[imgs], hw, grads)
         g *= activation_grad(f.activation, pre[rows])  # at the pooled map
-        db[imgs] = g.reshape(len(xc), hw, c).sum(axis=1)
+        db[imgs] = g.reshape(len(xc), hw, o).sum(axis=1)
         dq = maxpool2x2_backward(g, wins[:, rows])
         # perfbench's tracer finds the block by the kernel at cache[2]
         _add(grads, "main.kernel", conv_backward(dq, (None, im2col(xc, kh, kw, 1, 1), f.kernel)))

@@ -209,15 +209,14 @@ def train_greedy(config: TrainConfig, images: np.ndarray, *, last_input=None):
         params = net.block_params(f, phi)
         opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
         epochs = config.epochs_per_block
-        n_batches = max(len(feats) // config.batch_size, 1)
-        total_steps = epochs * n_batches
+        bs = min(config.batch_size, len(feats))  # a stage smaller than a batch is one batch
+        total_steps = epochs * (len(feats) // bs)
         step = 0
         batch_rng = np.random.default_rng(config.seed + 1000 * (bi + 1))
         for epoch in range(epochs):
             t0 = time.monotonic()
             sums = np.zeros(3)
-            batches = datamod.batch_indices(len(feats), min(config.batch_size, len(feats)),
-                                            batch_rng, drop_last=len(feats) > config.batch_size)
+            batches = datamod.batch_indices(len(feats), bs, batch_rng)
             for idx in batches:
                 # errstate sees only this thread's FP flags, so the isfinite checks stay
                 try:

@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package has a caller.
+"""Every public function, class and method of the package has a caller,
+and every private module-level name is read by code in its own module.
 
 A name counts as used when it appears as a Name, an Attribute or a string
 constant (perfbench's TRACED table names functions as strings) in the
@@ -67,3 +68,33 @@ def test_perfbench_only_names_are_listed():
     only = {name for name in PUBLIC.values() if name in USED and name not in OWN_USED}
     assert only <= PERFBENCH_ONLY, f"only perfbench calls {sorted(only - PERFBENCH_ONLY)}"
     assert PERFBENCH_ONLY <= only, f"no longer perfbench-only: {sorted(PERFBENCH_ONLY - only)}"
+
+
+
+def unread_private_names(path):
+    """The module-level private functions, classes and constants of `path`
+    that no code in it reads; a docstring or other string is no read."""
+    tree, defined = _parse(path), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.endswith("__") and name not in read]
+
+
+def test_finds_an_unread_private_name(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text('"""_A is named here."""\n_A = 1\n_B: int = 2\n__version__ = "0"\n'
+                    'def _f():\n    return _B\n\nclass _C:\n    x = _f()\n')
+    assert unread_private_names(path) == ["_A", "_C"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_private_name_is_read(path):
+    unread = unread_private_names(path)
+    assert unread == [], f"{path.name}: no code in the module reads {unread}"

@@ -479,6 +479,18 @@ class TestArtifacts:
             cli._write_run(str(tmp_path), {"metrics.jsonl": "\n", "summary.json": "{}\n"})
         assert os.listdir(tmp_path) == []  # neither a target nor a .tmp- file
 
+    def test_failed_write_leaves_no_old_manifest(self, tmp_path, capsys):
+        # a second run into the same --out cannot replace its summary.json
+        # (a directory now): the first run's manifest must not be left to
+        # vouch for the second run's metrics.jsonl
+        out = tmp_path / "run"
+        run_train(tmp_path, "run", "--seed", "1")
+        (out / "summary.json").unlink()
+        (out / "summary.json").mkdir()
+        assert main(["--out", str(out), *TINY, "--seed", "2", "train"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (out / "manifest.txt").exists()
+
     def test_failed_write_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
         # the second artifact's temp file cannot be made: the first one's temp
         # goes, and neither --out nor an artifact is left
