@@ -1,7 +1,9 @@
 """Command-line entry point: every experiment as a subcommand.
 
-Config files are flat ``key = value`` text with ``[section]`` headers;
-command-line ``--set section.key=value`` overrides win over file values.
+Config files are flat ``key = value`` text with ``[section]`` headers; a
+``#`` starts a comment at a line's start or after whitespace, as in
+configparser's inline comments, so ``dir = run#1`` keeps its ``#``.
+Command-line ``--set section.key=value`` overrides win over file values.
 The ``train.*`` keys are the fields of ``trainer.TrainConfig``, parsed by
 the type of each field's default; SETTINGS declares the ``data.*`` and
 ``probe.*`` keys.  ``data.dataset=cifar10`` reads the binary layout from
@@ -25,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -106,7 +109,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     out = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].rstrip()
         if not line.strip():
             continue
         if line.strip().startswith("[") and line.strip().endswith("]"):

@@ -2,8 +2,9 @@
 spectrum-controlled Gaussian matrices for oracle experiments, and
 class-structured synthetic image generators for desk-scale runs.
 
-Loaded datasets keep raw uint8 pixels so ingestion can be round-tripped
-bit-exactly; normalization produces a separate float view.
+Loaded datasets keep raw uint8 pixels, a CIFAR-10 split's images a view of
+its one record array, so ingestion round-trips bit-exactly; normalization
+produces a separate float array.
 """
 
 import os
@@ -40,27 +41,12 @@ class Dataset:
 # CIFAR-10 binary format
 
 
-def _parse_cifar_records(buf: bytes, source: str) -> Dataset:
-    if len(buf) % CIFAR_RECORD != 0:
-        raise FormatError(
-            f"{source}: truncated file, {len(buf)} bytes is not a multiple of {CIFAR_RECORD}"
-        )
-    n = len(buf) // CIFAR_RECORD
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(n, CIFAR_RECORD)
-    labels = raw[:, 0].astype(np.int64)
-    bad = np.nonzero(labels > 9)[0]
-    if bad.size:
-        off = int(bad[0]) * CIFAR_RECORD
-        raise FormatError(f"{source}: label byte {labels[bad[0]]} > 9 at byte offset {off}")
-    images = raw[:, 1:].reshape(n, 3, 32, 32).copy()
-    return Dataset(images=images, labels=labels.copy(), split="")
-
-
 def load_cifar10(path: str, split: str = "train") -> Dataset:
     """Load CIFAR-10 from its standard binary layout.
 
     `path` may be a directory holding data_batch_*.bin / test_batch.bin, or
-    a single .bin file.
+    a single .bin file.  Each file is read straight into its rows of one
+    uint8 record array; the images are a view of that array.
     """
     if os.path.isdir(path):
         names = CIFAR_TRAIN_FILES if split == "train" else CIFAR_TEST_FILES
@@ -74,16 +60,24 @@ def load_cifar10(path: str, split: str = "train") -> Dataset:
         if not os.path.exists(path):
             raise FormatError(f"no such file: {path}")
         files = [path]
-    parts = []
-    for f in files:
+    sizes = [os.path.getsize(f) for f in files]
+    records = np.empty((sum(s // CIFAR_RECORD for s in sizes), CIFAR_RECORD), dtype=np.uint8)
+    start = 0
+    for f, size in zip(files, sizes):
+        if size % CIFAR_RECORD != 0:
+            raise FormatError(f"{f}: truncated file, {size} bytes is not a multiple of {CIFAR_RECORD}")
+        rows = records[start : start + size // CIFAR_RECORD]
         with open(f, "rb") as fh:
-            parts.append(_parse_cifar_records(fh.read(), f))
-    ds = Dataset(
-        images=np.concatenate([p.images for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-        split=split,
-    )
-    return ds
+            got = fh.readinto(rows)
+        if got != size:
+            raise FormatError(f"{f}: short read, {got} of {size} bytes")
+        bad = np.nonzero(rows[:, 0] > 9)[0]
+        if bad.size:
+            off = int(bad[0]) * CIFAR_RECORD
+            raise FormatError(f"{f}: label byte {rows[bad[0], 0]} > 9 at byte offset {off}")
+        start += len(rows)
+    return Dataset(images=records[:, 1:].reshape(-1, 3, 32, 32),
+                   labels=records[:, 0].astype(np.int64), split=split)
 
 
 def serialize_cifar10(ds: Dataset) -> bytes:

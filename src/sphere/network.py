@@ -202,7 +202,7 @@ class MainBlock:
     use_skip: bool = False
 
     def params(self):
-        return {"kernel": self.kernel, "bias": self.bias}
+        return {"main.kernel": self.kernel, "main.bias": self.bias}
 
 
 @dataclass
@@ -220,10 +220,10 @@ class AuxBlock:
     def params(self):
         p = {}
         for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases)):
-            p[f"conv{i}_kernel"] = k
-            p[f"conv{i}_bias"] = b
-        p["fc_w"] = self.fc_w
-        p["fc_b"] = self.fc_b
+            p[f"aux.conv{i}_kernel"] = k
+            p[f"aux.conv{i}_bias"] = b
+        p["aux.fc_w"] = self.fc_w
+        p["aux.fc_b"] = self.fc_b
         return p
 
 
@@ -403,7 +403,4 @@ def block_backward(f: MainBlock, phi, x, lam: float, use_sphere: bool = True,
 
 def block_params(f: MainBlock, phi) -> dict:
     """Flat "main.<name>" / "aux.<name>" view of a block's parameters."""
-    p = {f"main.{k}": v for k, v in f.params().items()}
-    if phi is not None:
-        p.update({f"aux.{k}": v for k, v in phi.params().items()})
-    return p
+    return f.params() if phi is None else {**f.params(), **phi.params()}

@@ -378,7 +378,7 @@ def run_linearity_study(epochs: int, seed: int):
     phi = net.AuxBlock(conv_kernels=[w0.T, w1.T],
                        conv_biases=[np.zeros(128), np.zeros(128)],
                        fc_w=w2, fc_b=np.zeros(m), activation="tanh")
-    nl_opt = AdamW({f"aux.{k}": v for k, v in phi.params().items()}, lr=3e-3)
+    nl_opt = AdamW(phi.params(), lr=3e-3)
 
     kx = input_gram(x)
     cka_curve = []

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import pytest
 
 from sphere import cli, trainer
@@ -47,3 +49,18 @@ def forward_counts(monkeypatch):
     monkeypatch.setattr(trainer, "train_greedy", marked_greedy)
     monkeypatch.setattr(cli, "train_greedy", marked_greedy)
     return counts
+
+
+@pytest.fixture
+def traced_peak():
+    """Runs fn(*args, **kwargs) under tracemalloc and returns its result and
+    the traced peak in bytes."""
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = fn(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+    return run

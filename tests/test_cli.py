@@ -109,6 +109,11 @@ class TestConfigParser:
         cfg = parse_config_text("[train]\nlr = 0.5  # half\n")
         assert cfg["train.lr"] == 0.5
 
+    def test_hash_inside_a_value_is_kept(self):
+        # '#' starts a comment only at a line's start or after whitespace
+        text = "# run dir\n[data]\n  # indented comment\ndir = /data/run#1/cifar\t# tab\n"
+        assert parse_config_text(text) == {"data.dir": "/data/run#1/cifar"}
+
     def test_unknown_key_rejected_with_position(self):
         with pytest.raises(ConfigError, match=r":2:"):
             parse_config_text("[train]\nwarp_factor = 9\n")

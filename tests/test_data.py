@@ -5,8 +5,6 @@ the loader's round-trip and histogram properties can be checked without any
 file downloads.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -92,6 +90,53 @@ class TestCifarLoader:
         ds = load_cifar10(str(tmp_path), split="train")
         assert len(ds) == 100  # 5 files x 20 records
 
+    def test_missing_layout_file(self, tmp_path):
+        for name in datamod.CIFAR_TRAIN_FILES[:-1]:
+            (tmp_path / name).write_bytes(fake_cifar_bytes(n_per_class=1))
+        with pytest.raises(FormatError, match=datamod.CIFAR_TRAIN_FILES[-1]):
+            load_cifar10(str(tmp_path), split="train")
+
+    def test_missing_path(self, tmp_path):
+        with pytest.raises(FormatError, match="no such file"):
+            load_cifar10(str(tmp_path / "nowhere.bin"), split="test")
+
+    def test_short_read(self, tmp_path, monkeypatch):
+        # the file holds one record fewer than its reported size
+        p = tmp_path / "test_batch.bin"
+        p.write_bytes(fake_cifar_bytes(n_per_class=1))
+        monkeypatch.setattr(datamod.os.path, "getsize", lambda f: 11 * CIFAR_RECORD)
+        with pytest.raises(FormatError, match="short read"):
+            load_cifar10(str(p), split="test")
+
+    def test_train_files_load_in_file_order(self, tmp_path):
+        raws = [fake_cifar_bytes(n_per_class=2, seed=s) for s in range(5)]
+        for name, raw in zip(datamod.CIFAR_TRAIN_FILES, raws):
+            (tmp_path / name).write_bytes(raw)
+        ds = load_cifar10(str(tmp_path), split="train")
+        assert serialize_cifar10(ds) == b"".join(raws)
+        assert ds.labels.dtype == np.int64
+
+    def test_subset_images_are_contiguous_pixels(self, tmp_path):
+        raw = fake_cifar_bytes(n_per_class=20)
+        p = tmp_path / "test_batch.bin"
+        p.write_bytes(raw)
+        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+        picked = subset(load_cifar10(str(p), split="test"), 5, seed=2)
+        assert picked.images.flags.c_contiguous
+        rows = [np.nonzero((records[:, 1:] == img.ravel()).all(axis=1))[0] for img in picked.images]
+        assert all(len(r) == 1 for r in rows)
+        assert np.array_equal(records[np.concatenate(rows), 0], picked.labels)
+
+    def test_load_holds_only_the_records(self, tmp_path, traced_peak):
+        # 5 files x 200 records: read into one record array the load peaks
+        # at 1.003x the records' bytes; with per-file copies joined by
+        # np.concatenate it read 2.006x
+        for s, name in enumerate(datamod.CIFAR_TRAIN_FILES):
+            (tmp_path / name).write_bytes(fake_cifar_bytes(n_per_class=20, seed=s))
+        ds, peak = traced_peak(load_cifar10, str(tmp_path), "train")
+        nbytes = len(ds) * CIFAR_RECORD
+        assert len(ds) == 1000 and peak < 1.1 * nbytes, f"traced peak {peak / nbytes:.3f}x"
+
 
 class TestNormalization:
     def test_standardized_stats(self):
@@ -118,17 +163,12 @@ class TestNormalization:
         x = to_float(ds, mean, std, dtype)
         assert x.dtype == dtype and x.tobytes() == want.tobytes()
 
-    def test_to_float_holds_only_its_output(self):
+    def test_to_float_holds_only_its_output(self, traced_peak):
         # 500 float32 images: the output's 6.1 MB, where the expression's
         # temporaries took three times that (18.5 MB)
         ds = make_synthetic_images(50, seed=6)
         mean, std = channel_stats(ds)
-        tracemalloc.start()
-        try:
-            x = to_float(ds, mean, std, np.float32)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        x, peak = traced_peak(to_float, ds, mean, std, np.float32)
         assert peak < 1.1 * x.nbytes, f"traced peak {peak / 1e6:.1f} MB"
 
 

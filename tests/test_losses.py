@@ -13,8 +13,6 @@ term, is pinned bit for bit to that term written out as the objective's
 arithmetic (raw_matching_grads).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -352,7 +350,7 @@ class TestStructuralGrads:
         for got, exp in zip((bundle.sphere, bundle.orth, bundle.total), want):
             assert got == pytest.approx(exp, rel=tol)
 
-    def test_memory_stays_in_batch_space(self):
+    def test_memory_stays_in_batch_space(self, traced_peak):
         # Z of 64 x 4096: an M x M Gram alone would be 64 times Z's size;
         # the training path reads Z only through Z Z^T and C Z, so dL/dZ is
         # its one Z-sized array, in every loss form
@@ -360,12 +358,8 @@ class TestStructuralGrads:
         x = rng.standard_normal((64, 300))
         z = rng.standard_normal((64, 4096))
         for form, (use_sphere, use_oja) in FORMS.items():
-            tracemalloc.start()
-            try:
-                structural_grads(z, x, lam=0.8, use_sphere=use_sphere, use_oja=use_oja)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(structural_grads, z, x, lam=0.8,
+                                  use_sphere=use_sphere, use_oja=use_oja)
             assert peak < 1.25 * z.nbytes, form
 
     def test_oja_term_matches_oja_equiv_loss(self):

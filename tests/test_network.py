@@ -7,8 +7,6 @@ All finite-difference checks run in float64; the step sizes below were
 chosen to stay clear of maxpool ties.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -628,23 +626,18 @@ class TestBlockBackward:
             assert err <= 1e-12 * np.max(np.abs(want_grads[name])), f"{name}: {err:.3g}"
 
     @pytest.mark.parametrize("block, bound_mb", [(0, 24), (1, 16), (2, 10)])
-    def test_desk_step_traced_peak(self, block, bound_mb):
+    def test_desk_step_traced_peak(self, block, bound_mb, traced_peak):
         # one float32 step at a desk block: 128 images, head depth 1.  It
         # keeps the pooled pre-activation and the max-pool masks, 6.3, 3.1
         # and 1.6 MB each, and reads 17.1/13.1/7.6 MB; with a whole-batch
         # head, 31.9/19.7/11.8 MB.  The batch's im2col rows alone would take
         # 14.2, 56.6 and 28.3 MB, one chunk's 0.9-3.5 MB
         f, phi, x = desk_block(block, 128)
-        tracemalloc.start()
-        try:
-            net.block_backward(f, phi, x, lam=0.8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(net.block_backward, f, phi, x, lam=0.8)
         assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("block, bound_mb", [(0, 17.3), (1, 13.4), (2, 9)])
-    def test_desk_indexed_step_traced_peak(self, block, bound_mb):
+    def test_desk_indexed_step_traced_peak(self, block, bound_mb, traced_peak):
         # one float32 desk step on 128 of a 130-image stage, counting its
         # batch input: read from the stage by index it reads 17.1/13.1/7.6
         # MB; with the batch copied first, as x[idx], 18.5/18.4/10.5 MB, and
@@ -652,12 +645,7 @@ class TestBlockBackward:
         # 17.5/13.7/7.7 MB
         f, phi, x = desk_block(block, 130)
         idx = np.random.default_rng(1).permutation(130)[:128]
-        tracemalloc.start()
-        try:
-            net.block_backward(f, phi, x, lam=0.8, idx=idx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(net.block_backward, f, phi, x, lam=0.8, idx=idx)
         assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c-contiguous", "channels-last"])
@@ -681,17 +669,12 @@ class TestBlockBackward:
             assert g.tobytes() == want_grads[name].tobytes(), name
 
     @pytest.mark.parametrize("block, bound_mb", [(0, 16), (1, 10), (2, 5)])
-    def test_desk_inference_traced_peak(self, block, bound_mb):
+    def test_desk_inference_traced_peak(self, block, bound_mb, traced_peak):
         # a forward-only pass over the 130 training images of perfbench's
         # desk-greedy unit reads 9.3/7.8/3.9 MB; max-pool masks would add
         # 6.4/3.2/1.6 MB
         f, _, x = desk_block(block, 130)
-        tracemalloc.start()
-        try:
-            net.forward([(f, None)], x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(net.forward, [(f, None)], x)
         assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("depth", [None, 1])

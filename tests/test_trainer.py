@@ -1,7 +1,6 @@
 """Trainer tests: optimizer identities, schedule shape, greedy-training
 locality and determinism, probe/KNN behavior on controlled feature sets."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -247,7 +246,7 @@ class TestTrainGreedy:
 
 
     @pytest.mark.parametrize("kind", net.ACTIVATIONS)
-    def test_features_keep_no_cache(self, kind):
+    def test_features_keep_no_cache(self, kind, traced_peak):
         # the forward-only pass holds the im2col rows and the conv output at
         # most: with the activation derivative and the conv and pool caches
         # kept until the block returns, the peak is about rows + 3.3 * conv
@@ -255,29 +254,19 @@ class TestTrainGreedy:
         f = net.init_main_block(3, 16, rng, activation=kind, use_skip=True)
         x = rng.standard_normal((64, 3, 16, 16))
         features([(f, None)], x)
-        tracemalloc.start()
-        try:
-            features([(f, None)], x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(features, [(f, None)], x)
         rows = 64 * 16 * 16 * 27 * 8   # im2col rows of a 3x3 kernel, float64
         conv = 64 * 16 * 16 * 16 * 8   # conv output
         assert peak < rows + 2 * conv
 
-    def test_features_run_the_stack_one_chunk_at_a_time(self):
+    def test_features_run_the_stack_one_chunk_at_a_time(self, traced_peak):
         # 256 float64 images at the default widths: the output and its flat
         # copy take 6.3 MB each, one chunk's rows and maps about 3 MB; this
         # reads 15.8 MB.  Groups of 4 * CHUNK images read 20.1 MB, and
         # running each block over all the images first 50.3 MB
         blocks = build_blocks(TrainConfig(), 3, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((256, 3, 32, 32))
-        tracemalloc.start()
-        try:
-            features(blocks, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(features, blocks, x)
         assert peak < 18e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
@@ -505,16 +494,11 @@ class TestKnn:
                 votes.append(next(l for l in labs if l in np.nonzero(counts == counts.max())[0]))
             assert knn_eval(tr, labels, te, np.array(votes), k=k) == 1.0
 
-    def test_ranking_holds_a_block_of_rows(self):
+    def test_ranking_holds_a_block_of_rows(self, traced_peak):
         # the 300 x 500 float64 similarities take 1.2 MB; ranked in blocks
         # the call reads 2.0 MB, ranked whole (-sims and argsort) 3.6 MB
         tr, te, _ = self.tied_features()
-        tracemalloc.start()
-        try:
-            knn_eval(tr, np.arange(500), te, np.zeros(300, dtype=int), k=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(knn_eval, tr, np.arange(500), te, np.zeros(300, dtype=int), k=5)
         assert peak < 2 * 300 * 500 * 8, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_cosine_scale_invariance(self):
